@@ -29,9 +29,10 @@ import numpy as np
 
 from . import __version__
 from .classical import RLC_LAMBDA3_DEFAULT, close_loop, rlc_scenario, spring_mass_scenario
-from .matexp import couplings, eig_decompose
+from .matexp import couplings
 from .quantum import spin_chain_scenario, two_qubit_scenario
 from .sensan import (
+    DERIVATIVE_METHODS,
     DivergenceClassification,
     ErrorSystem,
     classify,
@@ -56,7 +57,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 KINDS = ("spring_mass", "rlc", "two_qubit", "spin_chain", "custom")
-METHODS = ("analytic", "quadrature", "blockaug", "fd")
 
 # Documented grid step for the discretization-dependent fidelity-1.0 rows of
 # the chain trade-off table; |s| diverges at exact transfer, so those rows
@@ -325,8 +325,8 @@ def validate_config(raw) -> ScenarioConfig:
     if t_start < 0 or t_end <= t_start:
         raise ConfigError("grid", "need t_end > t_start >= 0")
     method = _want(raw.get("method"), "method", str, "analytic")
-    if method not in METHODS:
-        raise ConfigError("method", f"must be one of {METHODS}")
+    if method not in DERIVATIVE_METHODS:
+        raise ConfigError("method", f"must be one of {DERIVATIVE_METHODS}")
     outputs = _want(raw.get("outputs"), "outputs", dict, {})
     _reject_unknown(outputs, {"trace_csv", "report_json"}, "outputs")
     outputs = {
@@ -499,19 +499,26 @@ def _classification_dict(cls: DivergenceClassification) -> dict:
     })
 
 
-def _oracle_spot_check(sys: ErrorSystem, cfg: ScenarioConfig,
+def _path_deviations(sys_: ErrorSystem, ts, methods) -> dict:
+    """Pairwise |de/dxi| differences of the paths at each time, over the
+    largest |de/dxi| any path returns at any of the times (a per-time scale
+    blows up where de/dxi nears zero, 1e-13 on undamped chains)."""
+    vals = {m: np.array([error_derivative(sys_, float(t), method=m) for t in ts])
+            for m in methods}
+    scale = max(max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values()),
+                1e-12)
+    return {f"{a}_vs_{b}": np.abs(vals[a] - vals[b]) / scale
+            for i, a in enumerate(methods) for b in methods[i + 1:]}
+
+
+def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig,
                        methods=("analytic", "blockaug", "fd")) -> dict:
     rng = np.random.default_rng(cfg.seed)
     t0, t1, _ = cfg.grid
     ts = np.sort(rng.uniform(t0, t1, 5)) if t1 > t0 else np.array([t0])
-    max_dev = 0.0
-    for t in ts:
-        vals = [error_derivative(sys, float(t), method=m) for m in methods]
-        scale = max(max(abs(v) for v in vals), 1e-12)
-        spread = (max(vals) - min(vals)) / scale
-        max_dev = max(max_dev, spread)
+    devs = _path_deviations(sys_, ts, methods)
     return {"methods": list(methods), "sample_times": [float(t) for t in ts],
-            "max_rel_deviation": float(max_dev)}
+            "max_rel_deviation": float(max(np.max(d) for d in devs.values()))}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> AnalysisReport:
@@ -519,7 +526,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> AnalysisReport:
     sys_, coupling_vec, notes = build_system(cfg)
     times = cfg.grid_times()
     tr = trace(sys_, times, method=cfg.method)
-    spec = eig_decompose(sys_.A0)
+    spec = sys_.spectrum()
     coup = couplings(spec, sys_.S, sys_.c, coupling_vec)
     cls = classify(spec, coup, sys_.xi0)
 
@@ -577,21 +584,18 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
     ts = np.linspace(t0, t1, t_samples)
+    devs = _path_deviations(sys_, ts, DERIVATIVE_METHODS)
     worst = 0.0
     worst_pair = None
     per_time = []
-    for t in ts:
-        vals = {m: error_derivative(sys_, float(t), method=m) for m in METHODS}
-        scale = max(max(abs(v) for v in vals.values()), 1e-12)
+    for i, t in enumerate(ts):
         entry = {"t": float(t)}
-        for i, a in enumerate(METHODS):
-            for b in METHODS[i + 1:]:
-                dev = abs(vals[a] - vals[b]) / scale
-                entry[f"{a}_vs_{b}"] = float(dev)
-                if dev > worst:
-                    worst, worst_pair = dev, f"{a}_vs_{b}"
+        for pair, dev in devs.items():
+            entry[pair] = float(dev[i])
+            if dev[i] > worst:
+                worst, worst_pair = float(dev[i]), pair
         per_time.append(entry)
-    return {"max_rel_deviation": float(worst), "worst_pair": worst_pair,
+    return {"max_rel_deviation": worst, "worst_pair": worst_pair,
             "samples": per_time}
 
 
@@ -699,7 +703,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--grid", default=None, metavar="START:END:STEP")
-    p_run.add_argument("--method", default=None, choices=METHODS)
+    p_run.add_argument("--method", default=None, choices=DERIVATIVE_METHODS)
 
     p_check = sub.add_parser("check", help="cross-validate derivative paths")
     p_check.add_argument("config")

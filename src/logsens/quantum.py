@@ -93,18 +93,12 @@ def _check_hermitian(H, tol, name):
 def bloch_coherent(H, basis: HermitianBasis) -> np.ndarray:
     """Real antisymmetric Bloch generator of -1j*[H, .]."""
     H = _check_hermitian(H, 1e-12, "H")
-    sig = basis.sigmas
     if H.shape[0] != basis.dim:
         raise ValueError("H dimension does not match basis")
-    n2 = len(sig)
     # A[m, n] = 1j * Tr(H [sig_m, sig_n]) = 1j * Tr([H, sig_m] sig_n)
-    A = np.empty((n2, n2))
-    comms = [H @ s - s @ H for s in sig]
-    for m in range(n2):
-        for n in range(n2):
-            val = 1j * np.trace(comms[m] @ sig[n])
-            A[m, n] = val.real
-    return A
+    P = np.stack(basis.sigmas)
+    A = 1j * np.einsum("mij,nji->mn", H @ P - P @ H, P)
+    return np.ascontiguousarray(A.real)
 
 
 def bloch_dissipator(V, basis: HermitianBasis) -> np.ndarray:
@@ -112,18 +106,12 @@ def bloch_dissipator(V, basis: HermitianBasis) -> np.ndarray:
     V = np.asarray(V, dtype=complex)
     if V.shape != (basis.dim, basis.dim):
         raise ValueError("V dimension does not match basis")
-    sig = basis.sigmas
-    n2 = len(sig)
-    W = V.conj().T @ V
-    L = np.empty((n2, n2))
-    for m in range(n2):
-        sm = sig[m]
-        jump = V.conj().T @ sm @ V
-        for n in range(n2):
-            sn = sig[n]
-            val = np.trace(jump @ sn) - 0.5 * np.trace(W @ (sm @ sn + sn @ sm))
-            L[m, n] = val.real
-    return L
+    # Tr(W sig_m sig_n) = X[m, n] and Tr(W sig_n sig_m) = X[n, m]
+    P = np.stack(basis.sigmas)
+    Vh = V.conj().T
+    jump = np.einsum("mij,nji->mn", Vh @ P @ V, P)
+    X = np.einsum("mij,nji->mn", (Vh @ V) @ P, P)
+    return np.ascontiguousarray((jump - 0.5 * (X + X.T)).real)
 
 
 def bloch_state(rho, basis: HermitianBasis) -> np.ndarray:

@@ -21,19 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import find_peaks
 
 from .matexp import (
     Couplings,
     Spectrum,
+    _require_real,
     couplings,
-    dderiv_diag,
     dderiv_jordan,
     dderiv_oracle_blockaug,
     dderiv_oracle_fd,
     dderiv_oracle_quadrature,
     eig_decompose,
-    phi_matrix,
 )
 
 __all__ = [
@@ -95,8 +93,13 @@ class ErrorSystem:
     def n(self) -> int:
         return self.A0.shape[0]
 
-    def spectrum(self, cluster_tol: float = 1e-8) -> Spectrum:
-        return eig_decompose(self.A0, cluster_tol)
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition of ``A0``, computed on first use and kept."""
+        spec = self.__dict__.get("_spectrum")
+        if spec is None:
+            spec = eig_decompose(self.A0)
+            object.__setattr__(self, "_spectrum", spec)
+        return spec
 
     def couplings(self, spec: Spectrum, vec=None) -> Couplings:
         """Modal couplings; ``vec`` defaults to v (free response convention)."""
@@ -152,52 +155,67 @@ class DivergenceClassification:
             raise ValueError(f"unknown classification kind {self.kind!r}")
 
 
-def error_signal(sys: ErrorSystem, t: float) -> float:
-    """Error at a single time via the spectral path."""
+def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
+    """e(t) and de/dxi(t) on a grid from a diagonalizable spectrum, O(n T).
+
+    The error sums the modes at their raw eigenvalues.  The derivative is
+    ``c @ dderiv_diag @ v`` folded into per-mode coefficients at the cluster
+    means lam: with W = Sbar * outer(z, w) and R_mn = W_mn / (lam_m - lam_n)
+    across clusters (0 within one), de/dxi(t) = Re sum_m (a_m + b_m t)
+    exp(lam_m t), a_m = sum_n R_mn - sum_n R_nm, b_m = sum_{n ~ m} W_mn.
+    """
+    if spec.near_defective:
+        raise ValueError(
+            f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}); use "
+            "method='blockaug', 'quadrature' or 'fd', or supply Jordan structure"
+        )
+    coup = sys.couplings(spec)
+    error = np.real((coup.z * coup.w) @ np.exp(np.outer(spec.eigenvalues, times)))
+    lam = spec.cluster_means()
+    same = spec.same_cluster_mask()
+    W = coup.Sbar * np.outer(coup.z, coup.w)
+    R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+    a = R.sum(axis=1) - R.sum(axis=0)
+    b = np.where(same, W, 0.0).sum(axis=1)
+    E = np.exp(np.outer(lam, times))
+    derror = _require_real(a @ E + (b @ E) * times, 1e-9, "analytic derivative")
+    return error, derror
+
+
+def _modal_at(sys: ErrorSystem, t: float):
+    """(e, de/dxi) at one time from the system's own spectrum."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    spec = sys.spectrum()
-    zt = sys.c @ spec.M
-    wt = spec.Minv @ sys.v
-    val = np.sum(zt * wt * np.exp(spec.eigenvalues * t))
-    return float(val.real)
+    e, de = _modal(sys, sys.spectrum(), np.array([float(t)]))
+    return float(e[0]), float(de[0])
+
+
+def _oracle(method: str):
+    """The matrix-valued oracle behind a non-analytic derivative method."""
+    oracles = {"quadrature": dderiv_oracle_quadrature,
+               "blockaug": dderiv_oracle_blockaug, "fd": dderiv_oracle_fd}
+    if method not in oracles:
+        raise ValueError(f"unknown method {method!r}")
+    return oracles[method]
+
+
+def error_signal(sys: ErrorSystem, t: float) -> float:
+    """Error at a single time via the spectral path."""
+    return _modal_at(sys, t)[0]
 
 
 def error_derivative(sys: ErrorSystem, t: float, method: str = "analytic") -> float:
     """d e(t) / d xi at the nominal parameter, by the selected path."""
     if method == "analytic":
-        spec = sys.spectrum()
-        D = dderiv_diag(spec, sys.couplings(spec), t)
-    elif method == "quadrature":
-        D = dderiv_oracle_quadrature(sys.A0, sys.S, t)
-    elif method == "blockaug":
-        D = dderiv_oracle_blockaug(sys.A0, sys.S, t)
-    elif method == "fd":
-        D = dderiv_oracle_fd(sys.A0, sys.S, t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return float(sys.c @ D @ sys.v)
+        return _modal_at(sys, t)[1]
+    return float(sys.c @ _oracle(method)(sys.A0, sys.S, t) @ sys.v)
 
 
 def log_sensitivity(sys: ErrorSystem, t: float) -> float:
     """xi0 * (de/dxi) / e at time t; non-finite near zeros of e."""
-    e = error_signal(sys, t)
-    de = error_derivative(sys, t)
+    e, de = _modal_at(sys, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(sys.xi0 * de / e)
-
-
-def _phi_tensor(spec: Spectrum, times: np.ndarray) -> np.ndarray:
-    """phi_{mn}(t) over a whole grid, shape (n, n, T)."""
-    lam = spec.cluster_means()
-    E = np.exp(np.outer(lam, times))  # (n, T)
-    same = spec.same_cluster_mask()
-    den = lam[:, None] - lam[None, :]
-    den = np.where(same, 1.0, den)
-    num = E[:, None, :] - E[None, :, :]
-    phi = num / den[:, :, None]
-    rep = times[None, None, :] * E[:, None, :] * np.ones((1, spec.n, 1))
-    return np.where(same[:, :, None], rep, phi)
 
 
 def trace(sys: ErrorSystem, grid, method: str = "analytic",
@@ -220,34 +238,18 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     if method == "analytic":
         spec = spectrum if spectrum is not None else sys.spectrum()
         if spec.is_defective:
-            Sbar = spec.Minv @ sys.S @ spec.M
+            coup = sys.couplings(spec)
             error = np.empty(len(times))
             derror = np.empty(len(times))
-            zt = sys.c @ spec.M
-            wt = spec.Minv @ sys.v
             for i, t in enumerate(times):
-                error[i] = _error_jordan(spec, zt, wt, t)
-                derror[i] = float(sys.c @ dderiv_jordan(spec, Sbar, t) @ sys.v)
+                error[i] = _error_jordan(spec, coup.z, coup.w, t)
+                derror[i] = float(sys.c @ dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
         else:
-            if spec.near_defective:
-                raise ValueError(
-                    "spectrum is near-defective; use method='blockaug', "
-                    "'quadrature' or 'fd', or supply Jordan structure"
-                )
-            coup = sys.couplings(spec)
-            E = np.exp(np.outer(spec.eigenvalues, times))
-            error = np.real((coup.z * coup.w) @ E)
-            W = coup.Sbar * np.outer(coup.z, coup.w)
-            phi = _phi_tensor(spec, times)
-            derror = np.real(np.einsum("mn,mnt->t", W, phi))
+            error, derror = _modal(sys, spec, times)
     else:
         error = np.empty(len(times))
         derror = np.empty(len(times))
-        oracle = {
-            "quadrature": dderiv_oracle_quadrature,
-            "blockaug": dderiv_oracle_blockaug,
-            "fd": dderiv_oracle_fd,
-        }[method]
+        oracle = _oracle(method)
         for i, t in enumerate(times):
             error[i] = float(sys.c @ expm(sys.A0 * t) @ sys.v)
             derror[i] = float(sys.c @ oracle(sys.A0, sys.S, t) @ sys.v)

@@ -187,6 +187,38 @@ class TestCheckOracles:
         summary = check_oracles(validate_config(raw), t_samples=5)
         assert summary["max_rel_deviation"] == 0.0
 
+    def test_undamped_chain_scaled_by_largest_derivative(self):
+        # de/dxi nears 1e-13 at some sample times; a per-time scale read ~1.0
+        summary = check_oracles(validate_config(
+            {"kind": "spin_chain", "parameters": {"N": 2}}))
+        assert summary["max_rel_deviation"] < 1e-6
+
+
+class TestOneSpectrumPerSystem:
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        import logsens
+        from logsens import cli, matexp, quantum, sensan
+        calls = []
+        orig = matexp.eig_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        for mod in (logsens, cli, matexp, quantum, sensan):
+            if getattr(mod, "eig_decompose", None) is orig:
+                monkeypatch.setattr(mod, "eig_decompose", counted)
+        return calls
+
+    def test_table1(self, eig_calls):
+        table1_repro("n2", (0.99, 0.95, 0.9, 0.8, 0.7))
+        assert len(eig_calls) == 1
+
+    def test_run(self, eig_calls, tmp_path):
+        run_scenario(validate_config({"kind": "two_qubit"}), str(tmp_path))
+        assert len(eig_calls) == 1
+
 
 class TestTable1:
     def test_n2_rows(self):

@@ -58,7 +58,20 @@ class TestGellmannBasis:
             gellmann_basis(1)
 
 
+def trace_loop(f, basis):
+    """Reference: [[Tr f(sig_m, sig_n)]], one trace per basis pair."""
+    return np.array([[np.trace(f(sm, sn)).real for sn in basis.sigmas]
+                     for sm in basis.sigmas])
+
+
 class TestBlochCoherent:
+    def test_matches_trace_loop(self):
+        rng = np.random.default_rng(67)
+        basis = gellmann_basis(3)
+        H = random_hermitian(rng, 3)
+        ref = trace_loop(lambda sm, sn: 1j * (H @ sm - sm @ H) @ sn, basis)
+        np.testing.assert_allclose(bloch_coherent(H, basis), ref, atol=1e-14)
+
     def test_identity_commutes(self):
         basis = gellmann_basis(3)
         np.testing.assert_allclose(bloch_coherent(np.eye(3), basis), 0.0,
@@ -107,6 +120,15 @@ class TestBlochCoherent:
 
 
 class TestBlochDissipator:
+    def test_matches_trace_loop(self):
+        rng = np.random.default_rng(69)
+        basis = gellmann_basis(3)
+        V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        Vh, W = V.conj().T, V.conj().T @ V
+        ref = trace_loop(lambda sm, sn: Vh @ sm @ V @ sn
+                         - 0.5 * W @ (sm @ sn + sn @ sm), basis)
+        np.testing.assert_allclose(bloch_dissipator(V, basis), ref, atol=1e-13)
+
     def test_zero_operator(self):
         basis = gellmann_basis(3)
         np.testing.assert_allclose(bloch_dissipator(np.zeros((3, 3)), basis),

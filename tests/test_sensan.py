@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logsens.matexp import Spectrum, couplings, eig_decompose
+from logsens.matexp import Spectrum, couplings, dderiv_oracle_blockaug, eig_decompose
 from logsens.sensan import (
     DivergenceClassification,
     ErrorSystem,
@@ -114,8 +114,60 @@ class TestTrace:
         sys = ErrorSystem(A0=A, S=np.eye(2), c=[1.0, 0.0], v=[0.0, 1.0], xi0=1.0)
         with pytest.raises(ValueError, match="blockaug"):
             trace(sys, [0.0, 1.0], method="analytic")
+        with pytest.raises(ValueError, match="blockaug"):
+            error_signal(sys, 1.0)
         tr = trace(sys, [0.0, 1.0], method="blockaug")
         assert np.all(np.isfinite(tr.derror))
+
+
+def blockaug_column(sys, grid):
+    return np.array([sys.c @ dderiv_oracle_blockaug(sys.A0, sys.S, t) @ sys.v
+                     for t in grid])
+
+
+def similar_system(seed, eigenvalues):
+    """Random-basis system with the given real spectrum (plus one decaying pair)."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues) + 2
+    B = np.zeros((n, n))
+    B[:2, :2] = [[-0.5, 1.5], [-1.5, -0.5]]
+    B[2:, 2:] = np.diag(eigenvalues)
+    M = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    return ErrorSystem(A0=M @ B @ np.linalg.inv(M), S=rng.standard_normal((n, n)),
+                       c=rng.standard_normal(n), v=rng.standard_normal(n), xi0=1.0)
+
+
+class TestModalEvaluator:
+    """Analytic traces against per-time block-augmented expm."""
+
+    def test_decayed_tail_matches_blockaug(self):
+        sys = similar_system(3, [-1.0, -2.5, -4.0])
+        grid = np.linspace(20.0, 70.0, 101)  # |de/dxi| falls by ~1e11 here
+        ref = blockaug_column(sys, grid)
+        got = trace(sys, grid).derror
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-10
+
+    @pytest.mark.parametrize("gap", [6e-8, 2e-7, 1e-6])
+    def test_gap_just_above_cluster_tol(self, gap):
+        # cluster threshold is 1e-8 * (1 + max|lam|) ~ 4e-8: these stay apart
+        sys = similar_system(11, [-1.0, -1.0 - gap, -3.0])
+        assert len(sys.spectrum().clusters) == sys.n
+        grid = np.linspace(0.0, 30.0, 61)
+        ref = blockaug_column(sys, grid)
+        got = trace(sys, grid).derror
+        # (e_m - e_n) / gap cancels in every eigenbasis form: ~eps/gap is lost
+        tol = 100 * np.finfo(float).eps / gap
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < tol
+
+    def test_imaginary_residue_refused(self):
+        # a spectrum that is not closed under conjugation leaves Im(de/dxi) != 0
+        spec = Spectrum(eigenvalues=np.array([-1.0 + 1.0j, -2.0 + 0.0j]),
+                        M=np.eye(2, dtype=complex), Minv=np.eye(2, dtype=complex),
+                        clusters=((0,), (1,)))
+        sys = ErrorSystem(A0=np.diag([-1.0, -2.0]), S=np.ones((2, 2)),
+                          c=[1.0, 1.0], v=[1.0, 1.0], xi0=1.0)
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            trace(sys, np.linspace(0.0, 2.0, 5), spectrum=spec)
 
 
 class TestScaleAndSimilarity:
