@@ -11,7 +11,7 @@ Subcommands
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
 failure, 2 config error.  Output locations honor ``LOGSENS_OUT_DIR`` when no
 explicit out-dir is given.  For a fixed config the outputs are byte-identical
-across runs: no timestamps, sorted report keys, fixed float formatting.
+across runs: no timestamps, sorted report keys, shortest round-trip floats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .matexp import couplings
 from .quantum import spin_chain_scenario, two_qubit_scenario
 from .sensan import (
     DERIVATIVE_METHODS,
-    DivergenceClassification,
     ErrorSystem,
     classify,
     detect_spikes,
@@ -47,7 +46,6 @@ from .sensan import (
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "AnalysisReport",
     "validate_config",
     "run_scenario",
     "check_oracles",
@@ -102,24 +100,6 @@ class ScenarioConfig:
             "method": self.method,
             "outputs": self.outputs,
             "seed": self.seed,
-        }
-
-
-@dataclass
-class AnalysisReport:
-    classification: dict
-    empirical: dict
-    deviations: dict
-    oracle_check: dict
-    provenance: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "empirical": self.empirical,
-            "deviations": self.deviations,
-            "oracle_check": self.oracle_check,
-            "provenance": self.provenance,
         }
 
 
@@ -397,53 +377,30 @@ def build_system(cfg: ScenarioConfig):
 # -- serialization -------------------------------------------------------------
 
 def _json_value(x):
-    """Recursively coerce report values into JSON-safe types."""
+    """Recursively coerce report values into JSON types: numpy scalars and
+    arrays to Python ones, complex to {"re", "im"}, non-finite floats to null."""
     if isinstance(x, dict):
         return {str(k): _json_value(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return [_json_value(v) for v in np.asarray(x).tolist()] \
-            if isinstance(x, np.ndarray) else [_json_value(v) for v in x]
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (complex, np.complexfloating)):
         z = complex(x)
-        return {"re": float(z.real), "im": float(z.imag)}
+        return {"re": _json_value(z.real), "im": _json_value(z.imag)}
     if isinstance(x, (float, np.floating)):
-        return float(x)
+        return float(x) if math.isfinite(x) else None
     return x
 
 
-def _dump_json(obj, indent=0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(f'{inner}"{k}": {_dump_json(obj[k], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        if obj == int(obj) and abs(obj) < 1e16:
-            return f"{obj:.1f}"
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+def _dumps(doc) -> str:
+    """Deterministic JSON of a coerced document: sorted keys, shortest
+    round-trip floats."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _atomic_write(path, text):
@@ -483,20 +440,14 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 # -- analysis ------------------------------------------------------------------
 
-def _classification_dict(cls: DivergenceClassification) -> dict:
-    return _json_value({
-        "kind": cls.kind,
-        "slope": cls.slope,
-        "sigma": cls.sigma,
-        "omega": cls.omega,
-        "phi01": cls.phi01,
-        "t0": cls.t0,
-        "period": cls.period,
-        "degree": cls.degree,
-        "pruned_modes": list(cls.pruned_modes),
-        "constants": cls.constants,
-        "diagnostic": cls.diagnostic,
-    })
+def _usable_methods(sys_: ErrorSystem, methods):
+    """The derivative paths that apply to the system, and why any were
+    skipped: the analytic path refuses a near-defective spectrum."""
+    spec = sys_.spectrum()
+    if not spec.near_defective:
+        return tuple(methods), {}
+    why = f"spectrum is near-defective (cond_M = {spec.cond_M:.2e})"
+    return tuple(m for m in methods if m != "analytic"), {"analytic": why}
 
 
 def _path_deviations(sys_: ErrorSystem, ts, methods) -> dict:
@@ -516,13 +467,18 @@ def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig,
     rng = np.random.default_rng(cfg.seed)
     t0, t1, _ = cfg.grid
     ts = np.sort(rng.uniform(t0, t1, 5)) if t1 > t0 else np.array([t0])
+    methods, skipped = _usable_methods(sys_, methods)
     devs = _path_deviations(sys_, ts, methods)
-    return {"methods": list(methods), "sample_times": [float(t) for t in ts],
-            "max_rel_deviation": float(max(np.max(d) for d in devs.values()))}
+    out = {"methods": methods, "sample_times": ts,
+           "max_rel_deviation": max(np.max(d) for d in devs.values())}
+    if skipped:
+        out["skipped"] = skipped
+    return out
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> AnalysisReport:
-    """Run one configured scenario and write its trace and report files."""
+def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
+    """Run one configured scenario, write its trace and report files, and
+    return the report as the plain dict written to ``report.json``."""
     sys_, coupling_vec, notes = build_system(cfg)
     times = cfg.grid_times()
     tr = trace(sys_, times, method=cfg.method)
@@ -531,20 +487,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> AnalysisReport:
     cls = classify(spec, coup, sys_.xi0)
 
     window = tuple(cfg.parameters["fit_window"])
-    empirical = {"fitted_slope": None, "detected_spikes": [],
+    spikes = detect_spikes(tr)
+    empirical = {"fitted_slope": None, "detected_spikes": spikes,
                  "fitted_degree": None}
     deviations = {}
-    spikes = detect_spikes(tr)
-    empirical["detected_spikes"] = [float(s) for s in spikes]
     if cls.kind in ("LinearReal", "LinearRepeatedReal"):
         try:
             fitted = fit_slope(tr, window)
-            empirical["fitted_slope"] = float(fitted)
+            empirical["fitted_slope"] = fitted
             if cls.slope:
-                deviations["slope_rel_dev"] = float(
+                deviations["slope_rel_dev"] = (
                     abs(abs(fitted) - abs(cls.slope)) / abs(cls.slope))
         except ValueError:
-            empirical["fitted_slope"] = None
+            pass
     if cls.kind == "PolynomialJordan":
         try:
             empirical["fitted_degree"] = fit_polynomial_degree(tr, window)
@@ -553,50 +508,46 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> AnalysisReport:
             pass
     if cls.kind == "PeriodicComplex" and len(spikes) > 0:
         sched = spike_schedule(cls, max(len(spikes) + 2, 8))
-        deltas = []
-        for s in spikes:
-            if s >= cls.t0 - 0.25 * cls.period:
-                deltas.append(float(s - sched[int(np.argmin(np.abs(sched - s)))]))
+        deltas = [s - sched[int(np.argmin(np.abs(sched - s)))] for s in spikes
+                  if s >= cls.t0 - 0.25 * cls.period]
         deviations["spike_deltas"] = deltas
         if deltas:
-            deviations["spike_max_abs_delta"] = float(np.max(np.abs(deltas)))
+            deviations["spike_max_abs_delta"] = np.max(np.abs(deltas))
 
-    report = AnalysisReport(
-        classification=_classification_dict(cls),
-        empirical=_json_value(empirical),
-        deviations=_json_value(deviations),
-        oracle_check=_json_value(_oracle_spot_check(sys_, cfg)),
-        provenance=_json_value({
+    report = _json_value({
+        "classification": asdict(cls),
+        "empirical": empirical,
+        "deviations": deviations,
+        "oracle_check": _oracle_spot_check(sys_, cfg),
+        "provenance": {
             "config_hash": _config_hash(cfg),
             "tool_version": __version__,
             "config": cfg.echo(),
             "notes": notes,
-        }),
-    )
+        },
+    })
     write_trace_csv(os.path.join(out_dir, cfg.outputs["trace_csv"]), tr)
     _atomic_write(os.path.join(out_dir, cfg.outputs["report_json"]),
-                  _dump_json(_json_value(report.to_dict())) + "\n")
+                  _dumps(report) + "\n")
     return report
 
 
 def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
-    """Max pairwise relative deviation of all derivative paths on a grid."""
+    """Max pairwise relative deviation of the derivative paths on a grid."""
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
     ts = np.linspace(t0, t1, t_samples)
-    devs = _path_deviations(sys_, ts, DERIVATIVE_METHODS)
-    worst = 0.0
-    worst_pair = None
-    per_time = []
-    for i, t in enumerate(ts):
-        entry = {"t": float(t)}
+    methods, skipped = _usable_methods(sys_, DERIVATIVE_METHODS)
+    devs = _path_deviations(sys_, ts, methods)
+    worst, worst_pair = 0.0, None
+    for i in range(len(ts)):
         for pair, dev in devs.items():
-            entry[pair] = float(dev[i])
             if dev[i] > worst:
                 worst, worst_pair = float(dev[i]), pair
-        per_time.append(entry)
-    return {"max_rel_deviation": worst, "worst_pair": worst_pair,
-            "samples": per_time}
+    out = {"max_rel_deviation": worst, "worst_pair": worst_pair}
+    if skipped:
+        out["skipped"] = skipped
+    return out
 
 
 # -- chain trade-off table -----------------------------------------------------
@@ -720,18 +671,16 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load_config(args.config, args.grid, args.method)
             report = run_scenario(cfg, _default_out_dir(args.out_dir))
-            kind = report.classification["kind"]
+            kind = report["classification"]["kind"]
             print(f"classification: {kind}")
             if kind == "Inconclusive":
-                print(f"diagnostic: {report.classification['diagnostic']}")
+                print(f"diagnostic: {report['classification']['diagnostic']}")
             print(f"outputs: {cfg.outputs['trace_csv']}, "
                   f"{cfg.outputs['report_json']}")
             return 0
         if args.command == "check":
             cfg = _load_config(args.config, args.grid)
-            summary = check_oracles(cfg, args.samples)
-            print(_dump_json(_json_value(
-                {k: summary[k] for k in ("max_rel_deviation", "worst_pair")})))
+            print(_dumps(_json_value(check_oracles(cfg, args.samples))))
             return 0
         if args.command == "table1":
             rows = table1_repro(args.chain, args.targets)

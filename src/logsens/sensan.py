@@ -51,7 +51,11 @@ __all__ = [
 
 SPIKE_FLOOR_REL = 1e-12
 STABILITY_TOL = 1e-9
-DERIVATIVE_METHODS = ("analytic", "quadrature", "blockaug", "fd")
+# Matrix-valued oracles behind the non-analytic derivative methods; the
+# order fixes the pair names of ``logsens check``.
+ORACLES = {"quadrature": dderiv_oracle_quadrature,
+           "blockaug": dderiv_oracle_blockaug, "fd": dderiv_oracle_fd}
+DERIVATIVE_METHODS = ("analytic", *ORACLES)
 
 
 @dataclass(frozen=True)
@@ -190,15 +194,6 @@ def _modal_at(sys: ErrorSystem, t: float):
     return float(e[0]), float(de[0])
 
 
-def _oracle(method: str):
-    """The matrix-valued oracle behind a non-analytic derivative method."""
-    oracles = {"quadrature": dderiv_oracle_quadrature,
-               "blockaug": dderiv_oracle_blockaug, "fd": dderiv_oracle_fd}
-    if method not in oracles:
-        raise ValueError(f"unknown method {method!r}")
-    return oracles[method]
-
-
 def error_signal(sys: ErrorSystem, t: float) -> float:
     """Error at a single time via the spectral path."""
     return _modal_at(sys, t)[0]
@@ -208,7 +203,9 @@ def error_derivative(sys: ErrorSystem, t: float, method: str = "analytic") -> fl
     """d e(t) / d xi at the nominal parameter, by the selected path."""
     if method == "analytic":
         return _modal_at(sys, t)[1]
-    return float(sys.c @ _oracle(method)(sys.A0, sys.S, t) @ sys.v)
+    if method not in ORACLES:
+        raise ValueError(f"unknown method {method!r}")
+    return float(sys.c @ ORACLES[method](sys.A0, sys.S, t) @ sys.v)
 
 
 def log_sensitivity(sys: ErrorSystem, t: float) -> float:
@@ -249,7 +246,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     else:
         error = np.empty(len(times))
         derror = np.empty(len(times))
-        oracle = _oracle(method)
+        oracle = ORACLES[method]
         for i, t in enumerate(times):
             error[i] = float(sys.c @ expm(sys.A0 * t) @ sys.v)
             derror[i] = float(sys.c @ oracle(sys.A0, sys.S, t) @ sys.v)
@@ -377,6 +374,13 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
             kind="PolynomialJordan",
             degree=int(dom_jordan[0][1]),
             sigma=float(max(0.0, -lam[0].real)),
+        )
+    if spec.near_defective and not spec.is_defective:
+        return DivergenceClassification(
+            kind="Inconclusive",
+            diagnostic=f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}) "
+                       "and carries no Jordan data; supply it via "
+                       "Spectrum.from_jordan",
         )
 
     zw = coup.z * coup.w

@@ -8,6 +8,8 @@ import pytest
 
 from logsens.cli import (
     ConfigError,
+    _dumps,
+    _json_value,
     check_oracles,
     main,
     run_scenario,
@@ -74,12 +76,12 @@ class TestRunScenario:
     def test_spring_mass_report(self, tmp_path):
         cfg = validate_config({"kind": "spring_mass"})
         report = run_scenario(cfg, str(tmp_path))
-        cls = report.classification
+        cls = report["classification"]
         assert cls["kind"] == "LinearReal"
         assert abs(cls["slope"]) == pytest.approx(4.0 / 3.0, abs=1e-9)
-        fitted = report.empirical["fitted_slope"]
+        fitted = report["empirical"]["fitted_slope"]
         assert abs(fitted) == pytest.approx(4.0 / 3.0, rel=0.01)
-        assert report.deviations["slope_rel_dev"] < 0.01
+        assert report["deviations"]["slope_rel_dev"] < 0.01
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "report.json").exists()
 
@@ -142,7 +144,7 @@ class TestRunScenario:
         cfg = validate_config({"kind": "two_qubit",
                                "parameters": {"perturbation": "S1"}})
         report = run_scenario(cfg, str(tmp_path))
-        assert abs(report.empirical["fitted_slope"]) == pytest.approx(
+        assert abs(report["empirical"]["fitted_slope"]) == pytest.approx(
             0.00344, rel=0.02)
 
     def test_inconclusive_still_writes(self, tmp_path):
@@ -163,9 +165,90 @@ class TestRunScenario:
         }
         cfg = validate_config(raw)
         report = run_scenario(cfg, str(tmp_path))
-        assert report.classification["kind"] == "Inconclusive"
-        assert "incommensurate" in report.classification["diagnostic"]
+        assert report["classification"]["kind"] == "Inconclusive"
+        assert "incommensurate" in report["classification"]["diagnostic"]
         assert (tmp_path / "report.json").exists()
+
+
+class TestReportJson:
+    def test_non_finite_null_and_complex_pairs(self):
+        doc = _json_value({
+            "nan": float("nan"), "inf": np.inf, "ninf": np.float64(-np.inf),
+            "z": np.complex128(1.5 - 2j), "zi": complex(np.inf, 1.0),
+            "arr": np.array([0.25, np.nan]), "n": np.int64(3),
+            "flag": np.bool_(True), "modes": (1, 2), 7: "key",
+        })
+        assert json.loads(_dumps(doc)) == {
+            "nan": None, "inf": None, "ninf": None,
+            "z": {"re": 1.5, "im": -2.0}, "zi": {"re": None, "im": 1.0},
+            "arr": [0.25, None], "n": 3, "flag": True, "modes": [1, 2],
+            "7": "key",
+        }
+
+    def test_shortest_round_trip_floats(self):
+        assert _dumps(_json_value({"x": np.float64(0.1)})) == '{\n  "x": 0.1\n}'
+
+    def test_file_parses_to_returned_dict(self, tmp_path):
+        # a periodic report carries spike deltas next to the classification
+        cfg = validate_config({"kind": "spring_mass", "grid": {"t_end": 20.0},
+                               "parameters": {"poles": [[-0.5, 1.0],
+                                                        [-0.5, -1.0]]}})
+        report = run_scenario(cfg, str(tmp_path))
+        assert report["classification"]["kind"] == "PeriodicComplex"
+        assert report["deviations"]["spike_deltas"]
+        with open(tmp_path / "report.json") as f:
+            assert json.load(f) == report
+
+
+NEAR_DEFECTIVE = {
+    "kind": "custom",
+    "parameters": {"A1": [[-1.0, 1.0], [0.0, -1.0]],
+                   "S": [[0.0, 0.0], [1.0, 0.0]],
+                   "c": [1.0, 0.0], "v": [0.0, 1.0], "xi0": 0.0},
+    "grid": {"t_end": 10.0, "dt": 0.1},
+}
+
+
+class TestNearDefective:
+    """An exact Jordan block eigendecomposes with cond_M ~ 9e15: the oracle
+    paths still run, the analytic path refuses, and the skip is recorded."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(NEAR_DEFECTIVE))
+        return str(p)
+
+    def test_oracle_run_skips_analytic(self, cfg, tmp_path, capsys):
+        assert main(["run", cfg, "--method", "blockaug",
+                     "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Inconclusive" in out and "near-defective" in out
+        with open(tmp_path / "report.json") as f:
+            spot = json.load(f)["oracle_check"]
+        assert spot["methods"] == ["blockaug", "fd"]
+        assert "cond_M" in spot["skipped"]["analytic"]
+        assert spot["max_rel_deviation"] < 1e-8
+
+    def test_check_skips_analytic(self, cfg, capsys):
+        assert main(["check", cfg, "--samples", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "near-defective" in out["skipped"]["analytic"]
+        assert out["worst_pair"] in ("quadrature_vs_blockaug",
+                                     "quadrature_vs_fd", "blockaug_vs_fd")
+        assert out["max_rel_deviation"] < 1e-8
+
+    def test_analytic_run_refuses(self, cfg, tmp_path, capsys):
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert "cond_M" in capsys.readouterr().err
+
+    def test_skipped_only_when_near_defective(self, tmp_path):
+        cfg = validate_config({"kind": "spring_mass", "grid": {"t_end": 5.0}})
+        assert sorted(check_oracles(cfg, t_samples=3)) == [
+            "max_rel_deviation", "worst_pair"]
+        spot = run_scenario(cfg, str(tmp_path))["oracle_check"]
+        assert sorted(spot) == ["max_rel_deviation", "methods", "sample_times"]
+        assert spot["methods"] == ["analytic", "blockaug", "fd"]
 
 
 class TestCheckOracles:

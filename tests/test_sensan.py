@@ -5,11 +5,14 @@ import pytest
 
 from logsens.matexp import Spectrum, couplings, dderiv_oracle_blockaug, eig_decompose
 from logsens.sensan import (
+    DERIVATIVE_METHODS,
+    ORACLES,
     DivergenceClassification,
     ErrorSystem,
     SensitivityTrace,
     classify,
     detect_spikes,
+    error_derivative,
     error_signal,
     fit_polynomial_degree,
     fit_slope,
@@ -57,6 +60,17 @@ class TestErrorSignal:
         for t in (0.3, 1.7, 6.0):
             ref = float(sys.c @ expm(sys.A0 * t) @ sys.v)
             assert error_signal(sys, t) == pytest.approx(ref, abs=1e-12)
+
+
+class TestErrorDerivative:
+    def test_one_list_of_methods(self):
+        # the order fixes the pair names that `logsens check` prints
+        assert DERIVATIVE_METHODS == ("analytic", "quadrature", "blockaug", "fd")
+        assert tuple(ORACLES) == DERIVATIVE_METHODS[1:]
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            error_derivative(spring_system(), 1.0, method="magic")
 
 
 class TestLogSensitivity:
@@ -279,6 +293,15 @@ class TestClassify:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DivergenceClassification(kind="Wibble")
+
+    def test_near_defective_names_cond(self):
+        # an exact Jordan block eigendecomposes with cond_M ~ 9e15; without
+        # Jordan data the law is undetermined, not a vanishing b0
+        cls = classify_system([[-1.0, 1.0], [0.0, -1.0]], [[0.0, 0.0], [1.0, 0.0]],
+                              [1.0, 0.0], [0.0, 1.0], 0.0)
+        assert cls.kind == "Inconclusive"
+        assert "near-defective" in cls.diagnostic
+        assert "cond_M = 9" in cls.diagnostic
 
 
 class TestSpikeSchedule:
