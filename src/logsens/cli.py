@@ -679,6 +679,8 @@ def main(argv=None) -> int:
                   f"{cfg.outputs['report_json']}")
             return 0
         if args.command == "check":
+            if args.samples < 1:
+                raise ConfigError("--samples", f"need at least 1, got {args.samples}")
             cfg = _load_config(args.config, args.grid)
             print(_dumps(_json_value(check_oracles(cfg, args.samples))))
             return 0

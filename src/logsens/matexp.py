@@ -357,25 +357,12 @@ def dderiv_jordan(spec: Spectrum, Sbar, t: float) -> np.ndarray:
 
 
 # Gauss-Legendre node/weight pairs on [-1, 1]; the 7/15 pair gives an
-# embedded error estimate without sharing nodes.
+# embedded error estimate without sharing nodes.  numpy makes each node set
+# exactly antisymmetric, so ``_GL_MIRROR`` maps node x to node -x.
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
-
-
-def _panel_rules(A, S, t, a, b):
-    """GL7 and GL15 estimates of the integral over [a, b] plus the largest
-    integrand magnitude seen (used for the machine-accuracy floor)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    taus = np.concatenate([mid + half * _GL7[0], mid + half * _GL15[0]])
-    stacked = np.concatenate([(t - taus)[:, None, None] * A[None],
-                              taus[:, None, None] * A[None]])
-    E = expm(stacked)
-    k = len(taus)
-    F = E[:k] @ S @ E[k:]
-    coarse = half * np.einsum("i,ijk->jk", _GL7[1], F[:7])
-    fine = half * np.einsum("i,ijk->jk", _GL15[1], F[7:])
-    return coarse, fine, float(np.max(np.abs(F)))
+_GL_NODES = np.concatenate([_GL7[0], _GL15[0]])
+_GL_MIRROR = np.r_[6:-1:-1, 21:6:-1]
 
 
 def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
@@ -388,6 +375,10 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
     of the integrand on that panel (halving cannot improve past double
     precision).  Deterministic for fixed inputs.  If the requested tolerance
     was not reached, the achieved error estimate is reported via a warning.
+
+    Panels are dyadic, ``[a, b] = [i, i + 1] t / 2**depth``.  A node
+    ``tau = a + h (1 + x)`` splits ``exp(tau A) = exp(a A) exp(h (1 + x) A)``
+    (and ``t - tau`` alike from b): offsets are exponentiated once per depth.
     """
     A = _as_square(A)
     S = _as_square(S, "S")
@@ -400,26 +391,34 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
         return np.zeros((n, n))
 
     eps = np.finfo(float).eps
+    inner = {}  # depth -> exp(h (1 - x_j) A) @ S @ exp(h (1 + x_j) A)
     total = np.zeros((n, n))
     achieved = 0.0
     panels_used = 0
-    stack = [(0.0, t)]
+    stack = [(0, 0)]
     tol_met = True
     while stack:
-        a, b = stack.pop()
-        coarse, fine, fmax = _panel_rules(A, S, t, a, b)
+        i, depth = stack.pop()
+        width = t / 2 ** depth
+        a, b, half = i * width, (i + 1) * width, 0.5 * width
+        if depth not in inner:
+            E = expm((half * (1.0 + _GL_NODES))[:, None, None] * A[None])
+            inner[depth] = E[_GL_MIRROR] @ S @ E
+        left, right = expm(np.stack([(t - b) * A, a * A]))
+        F = left @ inner[depth] @ right
+        coarse = half * np.einsum("i,ijk->jk", _GL7[1], F[:7])
+        fine = half * np.einsum("i,ijk->jk", _GL15[1], F[7:])
         err = float(np.max(np.abs(fine - coarse)))
         panels_used += 1
-        share = abs_tol * (b - a) / t
-        floor = 16.0 * eps * fmax * (b - a)
+        share = abs_tol / 2 ** depth
+        floor = 16.0 * eps * float(np.max(np.abs(F))) * width
         if err <= max(share, floor) or panels_used >= max_panels:
             total += fine
             achieved += err
             tol_met = tol_met and err <= max(share, floor)
         else:
-            mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
+            stack.append((2 * i + 1, depth + 1))
+            stack.append((2 * i, depth + 1))
     if not tol_met or achieved > abs_tol:
         warnings.warn(
             f"quadrature tolerance {abs_tol:.1e} not reached "
@@ -449,6 +448,11 @@ def dderiv_oracle_blockaug(A, S, t: float) -> np.ndarray:
     return expm(t * C)[:n, n:]
 
 
+def _fd_step(S) -> float:
+    """Default central-difference step along ``S``."""
+    return 1e-6 * (1.0 + float(np.linalg.norm(S, 2)))
+
+
 def dderiv_oracle_fd(A, S, t: float, h: float | None = None) -> np.ndarray:
     """Central finite-difference cross-check of D_S(t, A)."""
     A = _as_square(A)
@@ -456,5 +460,5 @@ def dderiv_oracle_fd(A, S, t: float, h: float | None = None) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(S, 2)))
+        h = _fd_step(S)
     return (expm(t * (A + h * S)) - expm(t * (A - h * S))) / (2.0 * h)

@@ -25,6 +25,7 @@ from scipy.linalg import expm
 from .matexp import (
     Couplings,
     Spectrum,
+    _fd_step,
     _require_real,
     couplings,
     dderiv_jordan,
@@ -167,20 +168,26 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     means lam: with W = Sbar * outer(z, w) and R_mn = W_mn / (lam_m - lam_n)
     across clusters (0 within one), de/dxi(t) = Re sum_m (a_m + b_m t)
     exp(lam_m t), a_m = sum_n R_mn - sum_n R_nm, b_m = sum_{n ~ m} W_mn.
+    The coefficients are kept on ``sys`` for the last spectrum it was given.
     """
     if spec.near_defective:
         raise ValueError(
             f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}); use "
-            "method='blockaug', 'quadrature' or 'fd', or supply Jordan structure"
+            "--method blockaug|quadrature|fd, or Spectrum.from_jordan data"
         )
-    coup = sys.couplings(spec)
-    error = np.real((coup.z * coup.w) @ np.exp(np.outer(spec.eigenvalues, times)))
-    lam = spec.cluster_means()
-    same = spec.same_cluster_mask()
-    W = coup.Sbar * np.outer(coup.z, coup.w)
-    R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
-    a = R.sum(axis=1) - R.sum(axis=0)
-    b = np.where(same, W, 0.0).sum(axis=1)
+    kept = sys.__dict__.get("_modal_coefficients")
+    if kept is None or kept[0] is not spec:
+        coup = sys.couplings(spec)
+        lam = spec.cluster_means()
+        same = spec.same_cluster_mask()
+        W = coup.Sbar * np.outer(coup.z, coup.w)
+        R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+        a = R.sum(axis=1) - R.sum(axis=0)
+        b = np.where(same, W, 0.0).sum(axis=1)
+        kept = (spec, coup.z * coup.w, lam, a, b)
+        object.__setattr__(sys, "_modal_coefficients", kept)
+    _, zw, lam, a, b = kept
+    error = np.real(zw @ np.exp(np.outer(spec.eigenvalues, times)))
     E = np.exp(np.outer(lam, times))
     derror = _require_real(a @ E + (b @ E) * times, 1e-9, "analytic derivative")
     return error, derror
@@ -221,7 +228,10 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
 
     ``method`` selects the derivative path.  ``spectrum`` overrides the
     computed eigendecomposition; supply a ``Spectrum.from_jordan`` result to
-    drive the analytic path on a known-defective generator.
+    drive the analytic path on a known-defective generator.  Oracle methods
+    step a state (``_stepped``), never eigendecomposing: blockaug ``[[A0, S],
+    [0, A0]]`` on ``[0; v]``; fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that
+    ``(d+ + d-) / 2h`` does not cancel; quadrature ``A0`` for e only.
     """
     times = np.asarray(grid, dtype=float).reshape(-1)
     if len(times) == 0:
@@ -232,6 +242,8 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     if method not in DERIVATIVE_METHODS:
         raise ValueError(f"method must be one of {DERIVATIVE_METHODS}")
 
+    c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
+    z, Z = np.zeros_like(v), np.zeros_like(A0)
     if method == "analytic":
         spec = spectrum if spectrum is not None else sys.spectrum()
         if spec.is_defective:
@@ -243,19 +255,41 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
                 derror[i] = float(sys.c @ dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
         else:
             error, derror = _modal(sys, spec, times)
+    elif method == "blockaug":
+        error, derror = _stepped(np.block([[A0, S], [Z, A0]]), np.r_[z, v],
+                                 np.block([[z, c], [c, z]]), times)
+    elif method == "fd":
+        h = _fd_step(S)
+        G = np.block([[A0 + h * S, Z, h * S], [Z, A0 - h * S, h * S], [Z, Z, A0]])
+        error, diff = _stepped(G, np.r_[z, z, v],
+                               np.block([[z, z, c], [c, c, z]]), times)
+        derror = diff / (2.0 * h)
     else:
-        error = np.empty(len(times))
-        derror = np.empty(len(times))
-        oracle = ORACLES[method]
-        for i, t in enumerate(times):
-            error[i] = float(sys.c @ expm(sys.A0 * t) @ sys.v)
-            derror[i] = float(sys.c @ oracle(sys.A0, sys.S, t) @ sys.v)
+        (error,) = _stepped(A0, v, c[None], times)
+        derror = np.array([c @ dderiv_oracle_quadrature(A0, S, t) @ v for t in times])
 
     floor = SPIKE_FLOOR_REL * max(np.max(np.abs(error)), 1e-300)
     mask = np.abs(error) <= floor
     logsens = np.full(len(times), np.nan)
     np.divide(sys.xi0 * derror, error, out=logsens, where=~mask)
     return SensitivityTrace(times, error, derror, logsens, mask)
+
+
+def _stepped(G, x0, R, times):
+    """Rows of ``R @ expm(t G) @ x0`` on an increasing grid: one exponential
+    per distinct step (2-23 on CLI grids, one per sample at worst), dropped
+    after its last use, so memory is O(T + n^2) per exponential in use.
+    Rounding accumulates to ~2e-12 of column max in 5e3 steps, 2e-11 in 5e5."""
+    uniq, idx = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    last = {k: i for i, k in enumerate(idx.tolist())}
+    out, cache, x = np.empty((len(times), len(R))), {}, x0
+    for i, k in enumerate(idx.tolist()):
+        P = cache.pop(k) if k in cache else expm(uniq[k] * G)
+        if last[k] > i:
+            cache[k] = P
+        x = P @ x
+        out[i] = R @ x
+    return out.T
 
 
 def _error_jordan(spec: Spectrum, zt, wt, t) -> float:
@@ -379,8 +413,8 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
         return DivergenceClassification(
             kind="Inconclusive",
             diagnostic=f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}) "
-                       "and carries no Jordan data; supply it via "
-                       "Spectrum.from_jordan",
+                       "and carries no Jordan data: --method blockaug|quadrature|fd "
+                       "still samples it, Spectrum.from_jordan supplies the data",
         )
 
     zw = coup.z * coup.w

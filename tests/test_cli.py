@@ -298,6 +298,24 @@ class TestOneSpectrumPerSystem:
         table1_repro("n2", (0.99, 0.95, 0.9, 0.8, 0.7))
         assert len(eig_calls) == 1
 
+    def test_table1_couplings_once(self, monkeypatch):
+        # the modal coefficients are kept with the spectrum, so the
+        # bisection's scalar calls project onto the modes only once
+        import logsens
+        from logsens import cli, matexp, sensan
+        calls = []
+        orig = matexp.couplings
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        for mod in (logsens, cli, matexp, sensan):
+            if getattr(mod, "couplings", None) is orig:
+                monkeypatch.setattr(mod, "couplings", counted)
+        table1_repro("n3")
+        assert len(calls) == 1
+
     def test_run(self, eig_calls, tmp_path):
         run_scenario(validate_config({"kind": "two_qubit"}), str(tmp_path))
         assert len(eig_calls) == 1
@@ -383,3 +401,18 @@ class TestMainExitCodes:
                                     "grid": {"t_end": 5.0}})
         assert main(["check", cfg, "--samples", "5"]) == 0
         assert "max_rel_deviation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_check_samples_below_one_is_2(self, tmp_path, capsys, samples):
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "grid": {"t_end": 5.0}})
+        assert main(["check", cfg, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --samples: ")
+        assert captured.out == ""
+
+    def test_check_one_sample(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "grid": {"t_start": 1.0, "t_end": 5.0}})
+        assert main(["check", cfg, "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_pair"] is not None

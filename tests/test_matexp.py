@@ -356,3 +356,17 @@ class TestCrossPathProperties:
             for j in range(i + 1, len(names)):
                 assert rel_dev(paths[names[i]], paths[names[j]]) < 1e-6, (
                     f"{names[i]} vs {names[j]}")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+           t=st.floats(0.0, 50.0))
+    def test_quadrature_vs_blockaug_long_times(self, seed, n, t):
+        # dyadic panels rebuild exp(tau A) from per-depth node offsets and
+        # per-panel end exponentials; deep refinements at large t must still
+        # land on the block-augmented value
+        rng = np.random.default_rng(seed)
+        A = random_stable(rng, n, re_max=-rng.uniform(0.01, 0.5))
+        S = rng.standard_normal((n, n))
+        quad = dderiv_oracle_quadrature(A, S, t)
+        block = dderiv_oracle_blockaug(A, S, t)
+        assert np.max(np.abs(quad - block)) < 1e-11 * max(1.0, np.max(np.abs(block)))

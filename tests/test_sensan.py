@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from logsens.matexp import Spectrum, couplings, dderiv_oracle_blockaug, eig_decompose
+from logsens.matexp import (
+    Spectrum,
+    couplings,
+    dderiv_oracle_blockaug,
+    dderiv_oracle_fd,
+    dderiv_oracle_quadrature,
+    eig_decompose,
+)
 from logsens.sensan import (
     DERIVATIVE_METHODS,
     ORACLES,
@@ -133,6 +141,19 @@ class TestTrace:
         tr = trace(sys, [0.0, 1.0], method="blockaug")
         assert np.all(np.isfinite(tr.derror))
 
+    def test_near_defective_advice_names_cli_methods_first(self):
+        # run/check configs cannot carry Jordan data; the CLI methods can run
+        A = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        S = np.array([[0.0, 0.0], [1.0, 0.0]])
+        sys = ErrorSystem(A0=A, S=S, c=[1.0, 0.0], v=[0.0, 1.0], xi0=0.0)
+        with pytest.raises(ValueError) as exc:
+            trace(sys, [0.0, 1.0])
+        spec = sys.spectrum()
+        diag = classify(spec, couplings(spec, S, sys.c, sys.v), 0.0).diagnostic
+        for msg in (str(exc.value), diag):
+            assert "--method blockaug|quadrature|fd" in msg
+            assert msg.index("--method") < msg.index("from_jordan")
+
 
 def blockaug_column(sys, grid):
     return np.array([sys.c @ dderiv_oracle_blockaug(sys.A0, sys.S, t) @ sys.v
@@ -182,6 +203,124 @@ class TestModalEvaluator:
                           c=[1.0, 1.0], v=[1.0, 1.0], xi0=1.0)
         with pytest.raises(ArithmeticError, match="imaginary residue"):
             trace(sys, np.linspace(0.0, 2.0, 5), spectrum=spec)
+
+    def test_kept_coefficients_follow_the_spectrum(self):
+        sys = similar_system(5, [-1.0, -2.0])
+        grid = np.linspace(0.0, 5.0, 11)
+        first = trace(sys, grid).derror
+        # a spectrum not closed under conjugation: its own coefficients
+        # leave an imaginary residue, the kept ones would not
+        bad = Spectrum(eigenvalues=np.array([-1.0 + 1.0j, -2.0, -3.0, -4.0]),
+                       M=np.eye(4, dtype=complex), Minv=np.eye(4, dtype=complex),
+                       clusters=((0,), (1,), (2,), (3,)))
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            trace(sys, grid, spectrum=bad)
+        np.testing.assert_array_equal(trace(sys, grid).derror, first)
+
+
+def cli_system(kind):
+    from logsens.cli import build_system, validate_config
+    cfg = validate_config({"kind": kind})
+    return build_system(cfg)[0], cfg.grid_times()
+
+
+def sampled_rows(times, k=12, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.unique(np.r_[0, len(times) - 1, rng.integers(0, len(times), k)])
+
+
+class TestOracleTraces:
+    """Stepped oracle traces against per-time expm and oracle calls.
+
+    Stepping accumulates rounding along the grid; measured at sampled rows
+    of 5001-row grids: error <= 2e-13 and blockaug de/dxi <= 3e-12 of the
+    column maximum.  The fd quotient is stepped without cancellation, so it
+    lands no farther from blockaug than the per-time fd does.
+    """
+
+    @staticmethod
+    def check(sys, times, methods=("blockaug", "fd")):
+        rows = sampled_rows(times)
+        ts = times[rows]
+        e = np.array([sys.c @ expm(sys.A0 * t) @ sys.v for t in ts])
+        ba = blockaug_column(sys, ts)
+        fd = np.array([sys.c @ dderiv_oracle_fd(sys.A0, sys.S, t) @ sys.v
+                       for t in ts])
+        escale, dscale = np.max(np.abs(e)), np.max(np.abs(ba))
+        for method in methods:
+            tr = trace(sys, times, method=method)
+            assert len(tr) == len(times)
+            assert np.max(np.abs(tr.error[rows] - e)) <= 1e-11 * escale, method
+            dev = np.max(np.abs(tr.derror[rows] - ba))
+            if method == "blockaug":
+                assert dev <= 1e-11 * dscale
+            else:
+                assert dev <= np.max(np.abs(fd - ba)) + 1e-10 * dscale
+
+    @pytest.mark.parametrize("kind", ["spring_mass", "rlc", "two_qubit",
+                                      "spin_chain"])
+    def test_default_grids(self, kind):
+        self.check(*cli_system(kind))
+
+    @pytest.mark.parametrize("grid", [
+        0.3 * 50.0 + 0.01 * np.arange(2001),             # t0 > 0
+        np.cumsum(np.random.default_rng(4).uniform(0.02, 0.18, 300)),
+        np.array([17.3]),                                 # one sample
+    ], ids=["t0_positive", "non_uniform", "one_sample"])
+    def test_other_grids(self, grid):
+        self.check(cli_system("spin_chain")[0], grid)
+        self.check(cli_system("rlc")[0], grid)
+
+    def test_quadrature_error_stepped_derivative_per_time(self):
+        sys, _ = cli_system("rlc")
+        grid = np.array([0.0, 0.4, 1.5, 1.9, 7.0, 31.0])
+        tr = trace(sys, grid, method="quadrature")
+        e = np.array([sys.c @ expm(sys.A0 * t) @ sys.v for t in grid])
+        de = [sys.c @ dderiv_oracle_quadrature(sys.A0, sys.S, t) @ sys.v
+              for t in grid]
+        assert np.max(np.abs(tr.error - e)) <= 1e-12 * np.max(np.abs(e))
+        np.testing.assert_array_equal(tr.derror, de)
+
+    @pytest.mark.parametrize("method", ["blockaug", "fd", "quadrature"])
+    def test_one_exponential_per_distinct_step(self, method, monkeypatch):
+        import logsens.sensan as sensan
+        calls = []
+        orig = sensan.expm
+
+        def counted(M):
+            calls.append(1)
+            return orig(M)
+
+        monkeypatch.setattr(sensan, "expm", counted)
+        sys, times = cli_system("spring_mass")
+        times = times[:400] if method == "quadrature" else times
+        trace(sys, times, method=method)
+        distinct = len(np.unique(np.diff(times, prepend=0.0)))
+        assert 1 < distinct < 30 and len(calls) == distinct
+        calls.clear()
+        grid = np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, 50))
+        trace(sys, grid, method=method)
+        assert len(calls) == len(grid)
+
+    def test_oracle_paths_never_eigendecompose(self, monkeypatch):
+        import scipy.linalg
+
+        import logsens.matexp as matexp
+        import logsens.sensan as sensan
+        sys, _ = cli_system("rlc")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on an oracle path")
+
+        for mod, name in ((np.linalg, "eig"), (np.linalg, "eigvals"),
+                          (scipy.linalg, "eig"), (matexp, "eig_decompose"),
+                          (sensan, "eig_decompose")):
+            monkeypatch.setattr(mod, name, refuse)
+        grid = np.linspace(0.0, 10.0, 21)
+        for method in ORACLES:
+            trace(sys, grid, method=method)
+            error_derivative(sys, 3.0, method=method)
+            ORACLES[method](sys.A0, sys.S, 3.0)
 
 
 class TestScaleAndSimilarity:
