@@ -12,6 +12,8 @@ Exit codes: 0 success (including Inconclusive classifications), 1 numerical
 failure, 2 config error.  Output locations honor ``LOGSENS_OUT_DIR`` when no
 explicit out-dir is given.  For a fixed config the outputs are byte-identical
 across runs: no timestamps, sorted report keys, shortest round-trip floats.
+The trace CSV is formatted column-wise in fixed-size blocks of rows, each
+written as it is made, so the writer's memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -403,13 +405,20 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, pieces):
+    """Write text pieces to ``path`` as they come, through a temp file that
+    replaces it only once complete: a failure leaves the old file as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
+        try:
+            f = os.fdopen(fd, "w", newline="")
+        except BaseException:
+            os.close(fd)
+            raise
+        with f:
+            f.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -417,20 +426,29 @@ def _atomic_write(path, text):
         raise
 
 
+_CSV_BLOCK = 1024  # rows formatted and written at a time
+
+
+def _csv_blocks(tr):
+    yield "t,error,abs_error,derror,logsens,abs_logsens,spike_flag\n"
+    for lo in range(0, len(tr), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        masked = tr.spike_mask[rows].tolist()
+        e = list(map(repr, tr.error[rows].tolist()))
+        ls = ["" if m else repr(x)
+              for m, x in zip(masked, tr.logsens[rows].tolist())]
+        # repr(abs(x)) == repr(x).lstrip("-") for every double, -0.0/nan too
+        ae, als = ([s.lstrip("-") for s in col] for col in (e, ls))
+        cols = (map(repr, tr.times[rows].tolist()), e, ae,
+                map(repr, tr.derror[rows].tolist()), ls, als,
+                ["1" if m else "0" for m in masked])
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
 def write_trace_csv(path, tr):
-    """Trace CSV: shortest round-trip floats, empty logsens on masked rows."""
-    lines = ["t,error,abs_error,derror,logsens,abs_logsens,spike_flag"]
-    for i in range(len(tr)):
-        t, e, de = float(tr.times[i]), float(tr.error[i]), float(tr.derror[i])
-        if tr.spike_mask[i]:
-            ls = als = ""
-            flag = 1
-        else:
-            ls = repr(float(tr.logsens[i]))
-            als = repr(abs(float(tr.logsens[i])))
-            flag = 0
-        lines.append(f"{t!r},{e!r},{abs(e)!r},{de!r},{ls},{als},{flag}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Trace CSV: shortest round-trip floats, empty logsens on masked rows,
+    formatted column-wise and streamed to disk in blocks of rows."""
+    _atomic_write(path, _csv_blocks(tr))
 
 
 def _config_hash(cfg: ScenarioConfig) -> str:
@@ -528,7 +546,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     })
     write_trace_csv(os.path.join(out_dir, cfg.outputs["trace_csv"]), tr)
     _atomic_write(os.path.join(out_dir, cfg.outputs["report_json"]),
-                  _dumps(report) + "\n")
+                  (_dumps(report), "\n"))
     return report
 
 
@@ -608,11 +626,11 @@ def table1_repro(chain: str, fidelity_targets=None) -> list:
 
 
 def write_table1_csv(path, rows):
-    lines = ["fidelity,abs_logsens"]
+    lines = ["fidelity,abs_logsens\n"]
     for r in rows:
         val = "" if r["abs_logsens"] is None else repr(float(r["abs_logsens"]))
-        lines.append(f'{r["fidelity"]!r},{val}')
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append(f'{r["fidelity"]!r},{val}\n')
+    _atomic_write(path, lines)
 
 
 # -- entry point ---------------------------------------------------------------

@@ -2,20 +2,27 @@
 
 import json
 import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from logsens.cli import (
+    _CSV_BLOCK,
     ConfigError,
+    _atomic_write,
     _dumps,
     _json_value,
+    build_system,
     check_oracles,
     main,
     run_scenario,
     table1_repro,
     validate_config,
+    write_trace_csv,
 )
+from logsens.sensan import SensitivityTrace, trace
 
 
 class TestValidateConfig:
@@ -207,6 +214,110 @@ NEAR_DEFECTIVE = {
                    "c": [1.0, 0.0], "v": [0.0, 1.0], "xi0": 0.0},
     "grid": {"t_end": 10.0, "dt": 0.1},
 }
+
+
+def reference_csv(tr) -> bytes:
+    """The row-at-a-time formatter that the block writer replaced."""
+    lines = ["t,error,abs_error,derror,logsens,abs_logsens,spike_flag"]
+    for i in range(len(tr)):
+        t, e, de = float(tr.times[i]), float(tr.error[i]), float(tr.derror[i])
+        if tr.spike_mask[i]:
+            ls = als = ""
+            flag = 1
+        else:
+            ls = repr(float(tr.logsens[i]))
+            als = repr(abs(float(tr.logsens[i])))
+            flag = 0
+        lines.append(f"{t!r},{e!r},{abs(e)!r},{de!r},{ls},{als},{flag}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Doubles whose shortest repr is awkward: signed zeros, subnormals, both
+# sides of repr's switches to exponent form (1e-4/1e-5 and 1e16), inf, nan.
+AWKWARD = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
+    1e-4, np.nextafter(1e-4, 0), -1e-5, np.nextafter(-1e-5, -1),
+    1e16, np.nextafter(1e16, 0), -1e16, 1.2345678901234567e300,
+    -0.1, 1 / 3, np.inf, -np.inf, np.nan,
+])
+
+
+def awkward_trace(rows, seed=0):
+    """Synthetic trace cycling through AWKWARD with negative logsens and
+    masked rows on both sides of every block boundary."""
+    rng = np.random.default_rng(seed)
+    pick = lambda: AWKWARD[rng.integers(0, len(AWKWARD), rows)]
+    mask = rng.random(rows) < 0.3
+    for edge in range(_CSV_BLOCK, rows, _CSV_BLOCK):
+        mask[edge - 2:edge + 2] = True
+    logsens = np.where(mask, np.nan, -np.abs(pick()) * rng.choice([1, -1], rows))
+    return SensitivityTrace(np.arange(rows) * 1e-3, pick(), pick(), logsens,
+                            mask)
+
+
+class TestTraceCsvWriter:
+    """The block writer reproduces the row formatter's bytes and keeps its
+    memory to a block of rows."""
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                                      _CSV_BLOCK + 1])
+    def test_bytes_match_row_formatter(self, rows, tmp_path):
+        cfg = validate_config({"kind": "spin_chain"})
+        tr = trace(build_system(cfg)[0], 0.01 * np.arange(rows))
+        assert rows < 1000 or tr.spike_mask.any()
+        write_trace_csv(tmp_path / "trace.csv", tr)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+
+    def test_awkward_values_match_row_formatter(self, tmp_path):
+        tr = awkward_trace(2 * _CSV_BLOCK + 5)
+        write_trace_csv(tmp_path / "trace.csv", tr)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # the row-at-a-time writer peaked at 45 MiB here, this one at 0.5 MiB
+        tr = awkward_trace(200_000)
+        tracemalloc.start()
+        try:
+            write_trace_csv(tmp_path / "trace.csv", tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_failed_stream_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"previous\n")
+
+        def blocks():
+            yield "t,error\n"
+            yield "0.0,1.0\n" * 100_000  # past the buffer, onto disk
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            _atomic_write(str(path), blocks())
+        assert path.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_fdopen_failure_closes_descriptor(self, tmp_path, monkeypatch):
+        fds = []
+        mkstemp = tempfile.mkstemp
+
+        def recording_mkstemp(*args, **kwargs):
+            fd, name = mkstemp(*args, **kwargs)
+            fds.append(fd)
+            return fd, name
+
+        def failing_fdopen(*args, **kwargs):
+            raise OSError("no stream")
+
+        monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        with pytest.raises(OSError, match="no stream"):
+            _atomic_write(str(tmp_path / "x.csv"), ["a\n"])
+        monkeypatch.undo()
+        with pytest.raises(OSError):
+            os.fstat(fds[0])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNearDefective:
