@@ -36,11 +36,13 @@ from .quantum import spin_chain_scenario, two_qubit_scenario
 from .sensan import (
     DERIVATIVE_METHODS,
     ErrorSystem,
+    _modal,
     classify,
     detect_spikes,
     error_derivative,
     fit_polynomial_degree,
     fit_slope,
+    log_sensitivity,
     spike_schedule,
     trace,
 )
@@ -468,12 +470,12 @@ def _usable_methods(sys_: ErrorSystem, methods):
     return tuple(m for m in methods if m != "analytic"), {"analytic": why}
 
 
-def _path_deviations(sys_: ErrorSystem, ts, methods) -> dict:
-    """Pairwise |de/dxi| differences of the paths at each time, over the
-    largest |de/dxi| any path returns at any of the times (a per-time scale
-    blows up where de/dxi nears zero, 1e-13 on undamped chains)."""
-    vals = {m: np.array([error_derivative(sys_, float(t), method=m) for t in ts])
-            for m in methods}
+def _path_deviations(vals: dict) -> dict:
+    """Pairwise |de/dxi| differences of the paths (``{method: values at the
+    sample times}``), over the largest |de/dxi| any path returns at any of
+    the times (a per-time scale blows up where de/dxi nears zero, 1e-13 on
+    undamped chains)."""
+    methods = list(vals)
     scale = max(max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values()),
                 1e-12)
     return {f"{a}_vs_{b}": np.abs(vals[a] - vals[b]) / scale
@@ -486,7 +488,9 @@ def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig,
     t0, t1, _ = cfg.grid
     ts = np.sort(rng.uniform(t0, t1, 5)) if t1 > t0 else np.array([t0])
     methods, skipped = _usable_methods(sys_, methods)
-    devs = _path_deviations(sys_, ts, methods)
+    # per time: stepping five random times would take five distinct steps
+    devs = _path_deviations({m: np.array([error_derivative(sys_, float(t), method=m)
+                                          for t in ts]) for m in methods})
     out = {"methods": methods, "sample_times": ts,
            "max_rel_deviation": max(np.max(d) for d in devs.values())}
     if skipped:
@@ -551,18 +555,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
 
 
 def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
-    """Max pairwise relative deviation of the derivative paths on a grid."""
+    """Pairwise relative deviations of the derivative paths on ``t_samples``
+    evenly spaced times: each pair's maximum, and the largest of them.  Each
+    path is one ``trace`` over those times."""
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
     ts = np.linspace(t0, t1, t_samples)
     methods, skipped = _usable_methods(sys_, DERIVATIVE_METHODS)
-    devs = _path_deviations(sys_, ts, methods)
-    worst, worst_pair = 0.0, None
-    for i in range(len(ts)):
-        for pair, dev in devs.items():
-            if dev[i] > worst:
-                worst, worst_pair = float(dev[i]), pair
-    out = {"max_rel_deviation": worst, "worst_pair": worst_pair}
+    devs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in methods})
+    pairs = {pair: float(np.max(dev, initial=0.0)) for pair, dev in devs.items()}
+    worst = max(pairs.values())
+    out = {"max_rel_deviation": worst, "pairs": pairs,
+           "worst_pair": max(pairs, key=pairs.get) if worst > 0 else None}
     if skipped:
         out["skipped"] = skipped
     return out
@@ -584,44 +588,40 @@ def table1_repro(chain: str, fidelity_targets=None) -> list:
     """Fidelity vs |s| rows at the approach to the first transfer maximum.
 
     Finite targets are solved by bisection of 1 - e(t) = target on [0, 5]
-    (fidelity is monotone there) to 1e-12 in t.  A target of exactly 1.0 is a
-    grid artifact: |s| diverges at perfect transfer, so the value is sampled
-    one documented grid step (2e-4) before t = 5 and flagged.
+    (fidelity is monotone there) to 1e-12 in t, all targets at once: each
+    bisection level evaluates e at every unconverged midpoint in one call.
+    A target of exactly 1.0 is a grid artifact: |s| diverges at perfect
+    transfer, so the value is sampled one documented grid step (2e-4)
+    before t = 5 and flagged.
     """
-    from .sensan import error_signal, log_sensitivity
-
     sys_ = _chain_for_table(chain)
+    spec = sys_.spectrum()
     if fidelity_targets is None:
         fidelity_targets = TABLE1_DEFAULT_TARGETS[chain]
     T = 5.0
-    rows = []
-    for target in fidelity_targets:
-        if not 0.0 < target <= 1.0:
-            rows.append({"fidelity": float(target), "abs_logsens": None,
-                         "t": None, "flag": "unreachable"})
-            continue
-        if target == 1.0:
+    rows = [{"fidelity": float(target), "abs_logsens": None, "t": None,
+             "flag": "unreachable"} for target in fidelity_targets]
+    solve = []
+    for row in rows:
+        if row["fidelity"] == 1.0:
             t_star = T - TABLE1_ARTIFACT_DT
-            rows.append({"fidelity": 1.0,
-                         "abs_logsens": abs(log_sensitivity(sys_, t_star)),
-                         "t": t_star, "flag": "grid_artifact"})
-            continue
-        lo, hi = 0.0, T
-        f = lambda t: (1.0 - error_signal(sys_, t)) - target
-        if f(lo) > 0 or f(hi) < 0:
-            rows.append({"fidelity": float(target), "abs_logsens": None,
-                         "t": None, "flag": "unreachable"})
-            continue
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        rows.append({"fidelity": float(target),
-                     "abs_logsens": abs(log_sensitivity(sys_, t_star)),
-                     "t": t_star, "flag": ""})
+            row.update(abs_logsens=abs(log_sensitivity(sys_, t_star)), t=t_star,
+                       flag="grid_artifact")
+        elif 0.0 < row["fidelity"] < 1.0:
+            solve.append(row)
+    target = np.array([row["fidelity"] for row in solve])
+    e0, eT = _modal(sys_, spec, np.array([0.0, T]))[0]
+    reach = ((1.0 - e0) - target <= 0) & ((1.0 - eT) - target >= 0)
+    solve, target = [r for r, ok in zip(solve, reach) if ok], target[reach]
+    lo, hi, live = np.zeros(len(solve)), np.full(len(solve), T), np.arange(len(solve))
+    while len(live):
+        mid = 0.5 * (lo[live] + hi[live])
+        below = (1.0 - _modal(sys_, spec, mid)[0]) - target[live] < 0
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        live = live[hi[live] - lo[live] > 1e-12]
+    for row, t_star in zip(solve, (0.5 * (lo + hi)).tolist()):
+        row.update(abs_logsens=abs(log_sensitivity(sys_, t_star)), t=t_star, flag="")
     return rows
 
 

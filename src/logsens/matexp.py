@@ -41,6 +41,7 @@ __all__ = [
     "dderiv_oracle_quadrature",
     "dderiv_oracle_blockaug",
     "dderiv_oracle_fd",
+    "QuadratureWarning",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -213,15 +214,18 @@ def _phase_normalize(M):
     return M
 
 
-def eig_decompose(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def eig_decompose(A, cluster_tol: float = DEFAULT_CLUSTER_TOL,
+                  eig=None) -> Spectrum:
     """Eigendecompose a real square matrix with deterministic ordering.
 
-    Raises ``np.linalg.LinAlgError`` on solver failure.  A condition number
-    of the eigenvector matrix above 1e12 flags the spectrum as near-defective;
-    analytic derivative paths then refuse and defer to the oracles.
+    ``eig`` passes the ``np.linalg.eig(A)`` pair when the caller already
+    has it, so the solver runs once.  Raises ``np.linalg.LinAlgError`` on
+    solver failure.  A condition number of the eigenvector matrix above 1e12
+    flags the spectrum as near-defective; analytic derivative paths then
+    refuse and defer to the oracles.
     """
     A = _as_square(A)
-    lam, M = np.linalg.eig(A)
+    lam, M = np.linalg.eig(A) if eig is None else eig
     order = sorted(range(len(lam)), key=lambda i: _sort_key(lam[i]))
     lam = lam[order]
     M = _phase_normalize(M[:, order])
@@ -356,6 +360,15 @@ def dderiv_jordan(spec: Spectrum, Sbar, t: float) -> np.ndarray:
     return _require_real(D, 1e-9, "dderiv_jordan")
 
 
+class QuadratureWarning(RuntimeWarning):
+    """The quadrature oracle missed ``abs_tol``; ``achieved`` is its error
+    estimate."""
+
+    def __init__(self, message, achieved):
+        super().__init__(message)
+        self.achieved = achieved
+
+
 # Gauss-Legendre node/weight pairs on [-1, 1]; the 7/15 pair gives an
 # embedded error estimate without sharing nodes.  numpy makes each node set
 # exactly antisymmetric, so ``_GL_MIRROR`` maps node x to node -x.
@@ -374,7 +387,8 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
     falls below its share of ``abs_tol`` or below the machine-accuracy floor
     of the integrand on that panel (halving cannot improve past double
     precision).  Deterministic for fixed inputs.  If the requested tolerance
-    was not reached, the achieved error estimate is reported via a warning.
+    was not reached, the achieved error estimate is reported via a
+    ``QuadratureWarning``.
 
     Panels are dyadic, ``[a, b] = [i, i + 1] t / 2**depth``.  A node
     ``tau = a + h (1 + x)`` splits ``exp(tau A) = exp(a A) exp(h (1 + x) A)``
@@ -420,11 +434,10 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
             stack.append((2 * i + 1, depth + 1))
             stack.append((2 * i, depth + 1))
     if not tol_met or achieved > abs_tol:
-        warnings.warn(
+        warnings.warn(QuadratureWarning(
             f"quadrature tolerance {abs_tol:.1e} not reached "
             f"({panels_used} panels): achieved error estimate {achieved:.3e}",
-            RuntimeWarning,
-        )
+            achieved))
     return total
 
 

@@ -17,6 +17,7 @@ predictions lives in ``fit_slope`` / ``detect_spikes`` /
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from scipy.linalg import expm
 
 from .matexp import (
     Couplings,
+    QuadratureWarning,
     Spectrum,
     _fd_step,
     _require_real,
@@ -82,12 +84,13 @@ class ErrorSystem:
         n = A0.shape[0]
         if A0.shape != (n, n) or S.shape != (n, n) or c.size != n or v.size != n:
             raise ValueError("inconsistent dimensions in ErrorSystem")
-        lam = np.linalg.eigvals(A0)
+        lam, M = np.linalg.eig(A0)
         rad = 1.0 + float(np.max(np.abs(lam)))
         if np.max(lam.real) > STABILITY_TOL * rad:
             raise ValueError(
                 f"A0 must be marginally stable (max Re eig = {np.max(lam.real):.3e})"
             )
+        object.__setattr__(self, "_eig", (lam, M))
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "c", c)
@@ -99,10 +102,11 @@ class ErrorSystem:
         return self.A0.shape[0]
 
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition of ``A0``, computed on first use and kept."""
+        """Eigendecomposition of ``A0``, built on first use from the ``eig``
+        pair the stability check solved for (which it then drops), and kept."""
         spec = self.__dict__.get("_spectrum")
         if spec is None:
-            spec = eig_decompose(self.A0)
+            spec = eig_decompose(self.A0, eig=self.__dict__.pop("_eig", None))
             object.__setattr__(self, "_spectrum", spec)
         return spec
 
@@ -231,7 +235,9 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     drive the analytic path on a known-defective generator.  Oracle methods
     step a state (``_stepped``), never eigendecomposing: blockaug ``[[A0, S],
     [0, A0]]`` on ``[0; v]``; fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that
-    ``(d+ + d-) / 2h`` does not cancel; quadrature ``A0`` for e only.
+    ``(d+ + d-) / 2h`` does not cancel; quadrature ``[y; x]`` by the
+    semigroup property, ``y <- expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x``
+    with ``Q(d)`` the quadrature of the defining integral over one step.
     """
     times = np.asarray(grid, dtype=float).reshape(-1)
     if len(times) == 0:
@@ -244,6 +250,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
 
     c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
     z, Z = np.zeros_like(v), np.zeros_like(A0)
+    readout = np.block([[z, c], [c, z]])  # e from the lower half, de/dxi upper
     if method == "analytic":
         spec = spectrum if spectrum is not None else sys.spectrum()
         if spec.is_defective:
@@ -256,17 +263,30 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
         else:
             error, derror = _modal(sys, spec, times)
     elif method == "blockaug":
-        error, derror = _stepped(np.block([[A0, S], [Z, A0]]), np.r_[z, v],
-                                 np.block([[z, c], [c, z]]), times)
+        G = np.block([[A0, S], [Z, A0]])
+        error, derror = _stepped(lambda d: expm(d * G), np.r_[z, v], readout, times)
     elif method == "fd":
         h = _fd_step(S)
         G = np.block([[A0 + h * S, Z, h * S], [Z, A0 - h * S, h * S], [Z, Z, A0]])
-        error, diff = _stepped(G, np.r_[z, z, v],
+        error, diff = _stepped(lambda d: expm(d * G), np.r_[z, z, v],
                                np.block([[z, z, c], [c, c, z]]), times)
         derror = diff / (2.0 * h)
     else:
-        (error,) = _stepped(A0, v, c[None], times)
-        derror = np.array([c @ dderiv_oracle_quadrature(A0, S, t) @ v for t in times])
+        missed = {}
+
+        def step(d):
+            P = expm(d * A0)
+            return np.block([[P, _quadrature_step(A0, S, d, missed)], [Z, P]])
+
+        error, derror = _stepped(step, np.r_[z, v], readout, times)
+        if missed:
+            steps = np.diff(times, prepend=0.0)
+            total = sum(err * np.count_nonzero(steps == d) for d, err in missed.items())
+            warnings.warn(
+                f"quadrature tolerance not reached on {len(missed)} of "
+                f"{len(np.unique(steps))} distinct steps: the sum over samples "
+                f"of their steps' error estimates is {total:.3e} (before "
+                "propagation)", RuntimeWarning)
 
     floor = SPIKE_FLOOR_REL * max(np.max(np.abs(error)), 1e-300)
     mask = np.abs(error) <= floor
@@ -275,16 +295,31 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     return SensitivityTrace(times, error, derror, logsens, mask)
 
 
-def _stepped(G, x0, R, times):
-    """Rows of ``R @ expm(t G) @ x0`` on an increasing grid: one exponential
-    per distinct step (2-23 on CLI grids, one per sample at worst), dropped
-    after its last use, so memory is O(T + n^2) per exponential in use.
-    Rounding accumulates to ~2e-12 of column max in 5e3 steps, 2e-11 in 5e5."""
+def _quadrature_step(A0, S, d, missed):
+    """``dderiv_oracle_quadrature`` over one step; a missed tolerance is
+    recorded in ``missed[d]`` (its error estimate) instead of warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QuadratureWarning)
+        Q = dderiv_oracle_quadrature(A0, S, d)
+    for w in caught:
+        if isinstance(w.message, QuadratureWarning):
+            missed[d] = w.message.achieved
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return Q
+
+
+def _stepped(step, x0, R, times):
+    """Rows of ``R @ x(t)`` on an increasing grid, with ``x(0) = x0`` and
+    ``x(t + d) = step(d) @ x(t)``: one step operator per distinct step
+    (2-23 on CLI grids, one per sample at worst), dropped after its last
+    use, so memory is O(T + n^2) per operator in use.  Rounding accumulates
+    to ~2e-12 of column max in 5e3 steps, 2e-11 in 5e5."""
     uniq, idx = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     last = {k: i for i, k in enumerate(idx.tolist())}
     out, cache, x = np.empty((len(times), len(R))), {}, x0
     for i, k in enumerate(idx.tolist()):
-        P = cache.pop(k) if k in cache else expm(uniq[k] * G)
+        P = cache.pop(k) if k in cache else step(uniq[k])
         if last[k] > i:
             cache[k] = P
         x = P @ x

@@ -10,6 +10,7 @@ import pytest
 
 from logsens.cli import (
     _CSV_BLOCK,
+    TABLE1_DEFAULT_TARGETS,
     ConfigError,
     _atomic_write,
     _dumps,
@@ -22,7 +23,7 @@ from logsens.cli import (
     validate_config,
     write_trace_csv,
 )
-from logsens.sensan import SensitivityTrace, trace
+from logsens.sensan import DERIVATIVE_METHODS, SensitivityTrace, trace
 
 
 class TestValidateConfig:
@@ -356,7 +357,7 @@ class TestNearDefective:
     def test_skipped_only_when_near_defective(self, tmp_path):
         cfg = validate_config({"kind": "spring_mass", "grid": {"t_end": 5.0}})
         assert sorted(check_oracles(cfg, t_samples=3)) == [
-            "max_rel_deviation", "worst_pair"]
+            "max_rel_deviation", "pairs", "worst_pair"]
         spot = run_scenario(cfg, str(tmp_path))["oracle_check"]
         assert sorted(spot) == ["max_rel_deviation", "methods", "sample_times"]
         assert spot["methods"] == ["analytic", "blockaug", "fd"]
@@ -386,6 +387,62 @@ class TestCheckOracles:
         summary = check_oracles(validate_config(
             {"kind": "spin_chain", "parameters": {"N": 2}}))
         assert summary["max_rel_deviation"] < 1e-6
+
+
+    def test_one_quadrature_per_distinct_step(self, monkeypatch):
+        # each path is one trace over the sorted sample times: linspace(0,
+        # 50, 20) has steps 0 and three roundings of 50/19
+        import logsens.cli as cli
+        import logsens.sensan as sensan
+        steps = []
+        orig = sensan.dderiv_oracle_quadrature
+
+        def counted(A, S, t, **kwargs):
+            steps.append(t)
+            return orig(A, S, t, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-time derivative in check")
+
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
+        monkeypatch.setattr(sensan, "error_derivative", refuse)
+        monkeypatch.setattr(cli, "error_derivative", refuse)
+        check_oracles(validate_config({"kind": "spring_mass"}), t_samples=20)
+        assert len(steps) == len(set(steps)) == 4
+
+    def test_pairs_name_each_maximum(self):
+        # fd's O(h^2) truncation sits far above the analytic-vs-blockaug
+        # agreement; the per-pair maxima keep the two apart
+        out = check_oracles(validate_config({"kind": "two_qubit"}))
+        pairs = out["pairs"]
+        assert sorted(pairs) == sorted(
+            f"{a}_vs_{b}" for i, a in enumerate(DERIVATIVE_METHODS)
+            for b in DERIVATIVE_METHODS[i + 1:])
+        assert out["max_rel_deviation"] == max(pairs.values())
+        assert out["worst_pair"] == max(pairs, key=pairs.get)
+        assert pairs["analytic_vs_blockaug"] < 1e-11
+        assert pairs["analytic_vs_quadrature"] < 1e-11
+        assert 1e-9 < pairs["analytic_vs_fd"] < 1e-7
+
+    def test_fd_without_cancellation(self):
+        # the deviation-form fd trace: the per-time subtracted exponentials
+        # read 1.55e-10 here
+        out = check_oracles(validate_config({"kind": "spring_mass"}))
+        assert out["max_rel_deviation"] < 1e-12
+
+    def test_one_quadrature_warning_per_check(self, monkeypatch):
+        import functools
+        import warnings
+
+        import logsens.sensan as sensan
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", functools.partial(
+            sensan.dderiv_oracle_quadrature, max_panels=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            check_oracles(validate_config({"kind": "rlc"}), t_samples=20)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "quadrature tolerance not reached on 3 of 4 distinct steps" in str(
+            caught[0].message)
 
 
 class TestOneSpectrumPerSystem:
@@ -451,6 +508,127 @@ class TestTable1:
         rows = table1_repro("n2", (0.9, 0.99, 0.999, 0.9999))
         vals = [r["abs_logsens"] for r in rows]
         assert vals == sorted(vals)
+
+
+def reference_table1(chain, targets):
+    """The per-target scalar bisection that the batched one replaced."""
+    from logsens.cli import TABLE1_ARTIFACT_DT, _chain_for_table
+    from logsens.sensan import error_signal, log_sensitivity
+
+    sys_ = _chain_for_table(chain)
+    T = 5.0
+    rows = []
+    for target in targets:
+        if not 0.0 < target <= 1.0:
+            rows.append({"fidelity": float(target), "abs_logsens": None,
+                         "t": None, "flag": "unreachable"})
+            continue
+        if target == 1.0:
+            t_star = T - TABLE1_ARTIFACT_DT
+            rows.append({"fidelity": 1.0,
+                         "abs_logsens": abs(log_sensitivity(sys_, t_star)),
+                         "t": t_star, "flag": "grid_artifact"})
+            continue
+        lo, hi = 0.0, T
+        f = lambda t: (1.0 - error_signal(sys_, t)) - target
+        if f(lo) > 0 or f(hi) < 0:
+            rows.append({"fidelity": float(target), "abs_logsens": None,
+                         "t": None, "flag": "unreachable"})
+            continue
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        t_star = 0.5 * (lo + hi)
+        rows.append({"fidelity": float(target),
+                     "abs_logsens": abs(log_sensitivity(sys_, t_star)),
+                     "t": t_star, "flag": ""})
+    return rows
+
+
+def typed(rows):
+    """Rows with every value as (type, repr): equal values of another type,
+    and nan against nan, compare as they print."""
+    return [{k: (type(v), repr(v)) for k, v in r.items()} for r in rows]
+
+
+def benchmark_targets(seed, chain):
+    """The table1 targets of the benchmark's crosscheck workload."""
+    import importlib.util
+    import sys
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(mod)
+        ops = mod.build_ops("crosscheck", seed)
+    finally:
+        del sys.modules[spec.name]
+    op = next(op for op in ops if op.args[:2] == ("--chain", chain))
+    return [float(x) for x in op.args[3:]]
+
+
+class TestTable1Bisection:
+    """All targets are bisected at once; rows match the per-target scalar
+    bisection except where a vector evaluation of e(t) rounds the other way
+    at a midpoint that sits on the root (on the benchmark's seeds 1-40 that
+    happens once: seed 13, n3, t moves 5.7e-13, |s| 1.8e-12 relative)."""
+
+    EDGES = (0.0, -1.0, float("nan"), 1.0, 1.5, 0.9999999, 0.95, 0.95, 1)
+
+    @pytest.mark.parametrize("chain", ["n2", "n3"])
+    @pytest.mark.parametrize("targets", ["default", "seed1", "seed7", "edges",
+                                         "empty"])
+    def test_rows_equal_scalar_bisection(self, chain, targets):
+        if targets.startswith("seed"):
+            targets = benchmark_targets(int(targets[4:]), chain)
+        else:
+            targets = {"default": TABLE1_DEFAULT_TARGETS[chain],
+                       "edges": self.EDGES, "empty": ()}[targets]
+        assert typed(table1_repro(chain, targets)) == typed(
+            reference_table1(chain, targets))
+
+    def test_rounding_flip_within_bisection_tolerance(self):
+        targets = benchmark_targets(13, "n3")
+        for got, ref in zip(table1_repro("n3", targets),
+                            reference_table1("n3", targets)):
+            assert abs(got["t"] - ref["t"]) <= 1e-12
+            assert got["abs_logsens"] == pytest.approx(ref["abs_logsens"],
+                                                       rel=1e-11)
+
+    @pytest.mark.parametrize("chain", ["n2", "n3"])
+    def test_root_bracketed_on_benchmark_seeds(self, chain):
+        # the scalar fidelity changes sign within 1e-12 of every t
+        from logsens.cli import _chain_for_table
+        from logsens.sensan import error_signal
+        sys_ = _chain_for_table(chain)
+        for seed in range(1, 41):
+            for row in table1_repro(chain, benchmark_targets(seed, chain)):
+                f = lambda t: 1.0 - error_signal(sys_, t) - row["fidelity"]
+                assert f(row["t"] - 1e-12) < 0 < f(row["t"] + 1e-12), (seed, row)
+
+    def test_modal_calls_per_level_not_per_target(self, monkeypatch):
+        import logsens.cli as cli
+        import logsens.sensan as sensan
+        calls = []
+        orig = sensan._modal
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return orig(*args)
+
+        monkeypatch.setattr(sensan, "_modal", counted)
+        monkeypatch.setattr(cli, "_modal", counted)
+        targets = np.linspace(0.5, 0.999, 200).tolist()
+        table1_repro("n2", targets)
+        batched = [n for n in calls if n > 1]
+        # 1 + 43 bisection levels, plus one scalar |s| per target
+        assert len(batched) <= 50
+        assert len(calls) - len(batched) == len(targets)
 
 
 class TestMainExitCodes:

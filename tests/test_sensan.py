@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from logsens.matexp import (
@@ -52,6 +54,26 @@ class TestErrorSystem:
 
     def test_tracking_error_at_zero(self):
         assert error_signal(spring_system(), 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_eigensolve(self, monkeypatch):
+        # the stability check's eig pair is the spectrum's: same bits
+        ref = eig_decompose(SPRING_A0)
+        calls = []
+        for name in ("eig", "eigvals"):
+            orig = getattr(np.linalg, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sys = spring_system()
+        spec = sys.spectrum()
+        trace(sys, np.linspace(0.0, 5.0, 11))
+        assert calls == ["eig"] and sys.spectrum() is spec
+        for field in ("eigenvalues", "M", "Minv"):
+            np.testing.assert_array_equal(getattr(spec, field), getattr(ref, field))
+        assert (spec.clusters, spec.cond_M) == (ref.clusters, ref.cond_M)
 
 
 class TestErrorSignal:
@@ -271,15 +293,80 @@ class TestOracleTraces:
         self.check(cli_system("spin_chain")[0], grid)
         self.check(cli_system("rlc")[0], grid)
 
-    def test_quadrature_error_stepped_derivative_per_time(self):
+    def test_quadrature_stepped_once_per_distinct_step(self, monkeypatch):
+        import logsens.sensan as sensan
+        calls = []
+        orig = sensan.dderiv_oracle_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
         sys, _ = cli_system("rlc")
-        grid = np.array([0.0, 0.4, 1.5, 1.9, 7.0, 31.0])
+        grid = np.array([0.0, 0.4, 1.5, 1.9, 7.0, 31.0, 31.4, 32.5, 32.9])
         tr = trace(sys, grid, method="quadrature")
+        assert sorted(calls) == sorted(set(np.diff(grid, prepend=0.0)))
         e = np.array([sys.c @ expm(sys.A0 * t) @ sys.v for t in grid])
-        de = [sys.c @ dderiv_oracle_quadrature(sys.A0, sys.S, t) @ sys.v
-              for t in grid]
+        de = np.array([sys.c @ orig(sys.A0, sys.S, t) @ sys.v for t in grid])
         assert np.max(np.abs(tr.error - e)) <= 1e-12 * np.max(np.abs(e))
-        np.testing.assert_array_equal(tr.derror, de)
+        for ref in (de, blockaug_column(sys, grid)):
+            assert np.max(np.abs(tr.derror - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+           t0=st.sampled_from([0.0, 0.35, 12.0]),
+           segments=st.lists(st.tuples(st.floats(0.05, 5.0), st.integers(1, 200)),
+                             min_size=1, max_size=3))
+    def test_stepped_quadrature_matches_blockaug(self, seed, n, t0, segments):
+        # uniform runs of steps, as CLI grids have, so that steps repeat and
+        # one quadrature step is propagated across many samples
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        lam = np.linalg.eigvals(A)
+        A -= (np.max(lam.real) + rng.uniform(0.01, 0.5)) * np.eye(n)
+        sys = ErrorSystem(A0=A, S=rng.standard_normal((n, n)),
+                          c=rng.standard_normal(n), v=rng.standard_normal(n),
+                          xi0=1.0)
+        grid, start = [], t0
+        for step, count in segments:
+            run = start + step * np.arange(1, count + 1)
+            grid.append(run)
+            start = run[-1]
+        grid = np.concatenate(grid)
+        grid = grid[grid <= 50.0]  # t0 + one step <= 17 keeps a sample
+        quad = trace(sys, grid, method="quadrature").derror
+        block = trace(sys, grid, method="blockaug").derror
+        assert np.max(np.abs(quad - block)) <= 1e-11 * np.max(np.abs(block))
+
+    def test_one_quadrature_warning_per_trace(self, monkeypatch):
+        import functools
+        import warnings
+
+        import logsens.sensan as sensan
+        from logsens.matexp import QuadratureWarning
+        coarse = functools.partial(dderiv_oracle_quadrature, max_panels=1)
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", coarse)
+        sys, _ = cli_system("rlc")
+        grid = np.r_[0.25 * np.arange(1, 5), 1.0 + 3.0 * np.arange(1, 5),
+                     13.0 + 7.0 * np.arange(1, 4)]
+        steps = np.diff(grid, prepend=0.0)
+        achieved = {}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for d in np.unique(steps):
+                coarse(sys.A0, sys.S, d)
+                if caught:
+                    achieved[d] = caught.pop().message.achieved
+            trace(sys, grid, method="quadrature")
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert not isinstance(caught[0].message, QuadratureWarning)
+        assert len(achieved) == 2  # steps 3 and 7 miss, 0.25 does not
+        total = sum(achieved.get(d, 0.0) for d in steps)
+        assert str(caught[0].message) == (
+            f"quadrature tolerance not reached on 2 of 3 distinct steps: the "
+            f"sum over samples of their steps' error estimates is {total:.3e} "
+            "(before propagation)")
 
     @pytest.mark.parametrize("method", ["blockaug", "fd", "quadrature"])
     def test_one_exponential_per_distinct_step(self, method, monkeypatch):
