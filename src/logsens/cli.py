@@ -471,28 +471,30 @@ def _usable_methods(sys_: ErrorSystem, methods):
 
 
 def _path_deviations(vals: dict) -> dict:
-    """Pairwise |de/dxi| differences of the paths (``{method: values at the
-    sample times}``), over the largest |de/dxi| any path returns at any of
-    the times (a per-time scale blows up where de/dxi nears zero, 1e-13 on
-    undamped chains)."""
+    """Each pair's largest |de/dxi| difference of the paths (``{method:
+    values at the sample times}``), over the largest |de/dxi| any path
+    returns at any of the times (a per-time scale blows up where de/dxi
+    nears zero, 1e-13 on undamped chains)."""
     methods = list(vals)
     scale = max(max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values()),
                 1e-12)
-    return {f"{a}_vs_{b}": np.abs(vals[a] - vals[b]) / scale
+    return {f"{a}_vs_{b}": float(np.max(np.abs(vals[a] - vals[b]) / scale, initial=0.0))
             for i, a in enumerate(methods) for b in methods[i + 1:]}
 
 
 def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig,
                        methods=("analytic", "blockaug", "fd")) -> dict:
+    """The paths' de/dxi at five random grid times: each pair's maximum
+    deviation (fd's truncation sits in the fd pairs) and the largest."""
     rng = np.random.default_rng(cfg.seed)
     t0, t1, _ = cfg.grid
     ts = np.sort(rng.uniform(t0, t1, 5)) if t1 > t0 else np.array([t0])
     methods, skipped = _usable_methods(sys_, methods)
     # per time: stepping five random times would take five distinct steps
-    devs = _path_deviations({m: np.array([error_derivative(sys_, float(t), method=m)
-                                          for t in ts]) for m in methods})
-    out = {"methods": methods, "sample_times": ts,
-           "max_rel_deviation": max(np.max(d) for d in devs.values())}
+    pairs = _path_deviations({m: np.array([error_derivative(sys_, float(t), method=m)
+                                           for t in ts]) for m in methods})
+    out = {"methods": methods, "sample_times": ts, "pairs": pairs,
+           "max_rel_deviation": max(pairs.values())}
     if skipped:
         out["skipped"] = skipped
     return out
@@ -562,8 +564,7 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
     t0, t1, _ = cfg.grid
     ts = np.linspace(t0, t1, t_samples)
     methods, skipped = _usable_methods(sys_, DERIVATIVE_METHODS)
-    devs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in methods})
-    pairs = {pair: float(np.max(dev, initial=0.0)) for pair, dev in devs.items()}
+    pairs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in methods})
     worst = max(pairs.values())
     out = {"max_rel_deviation": worst, "pairs": pairs,
            "worst_pair": max(pairs, key=pairs.get) if worst > 0 else None}

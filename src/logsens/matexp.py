@@ -57,16 +57,21 @@ def _as_square(A, name="A"):
     return A
 
 
-def _require_real(X, tol, context):
-    """Strip an imaginary residue after checking it is numerically negligible."""
-    scale = max(1.0, float(np.max(np.abs(X))))
-    resid = float(np.max(np.abs(X.imag)))
-    if resid > tol * scale:
+def _refuse_imaginary(resid, absmax, tol, context):
+    """Raise unless the largest |Im| of a result, ``resid``, is at most
+    ``tol * max(1, absmax)`` with ``absmax`` its largest modulus."""
+    if resid > tol * max(1.0, absmax):
         raise ArithmeticError(
             f"{context}: imaginary residue {resid:.3e} exceeds {tol:.1e}*scale; "
             "matrix may be too ill-conditioned for the analytic path "
             "(use dderiv_oracle_blockaug or dderiv_oracle_quadrature)"
         )
+
+
+def _require_real(X, tol, context):
+    """Strip an imaginary residue after checking it is numerically negligible."""
+    _refuse_imaginary(float(np.max(np.abs(X.imag))), float(np.max(np.abs(X))),
+                      tol, context)
     return np.ascontiguousarray(X.real)
 
 

@@ -28,7 +28,7 @@ from .matexp import (
     QuadratureWarning,
     Spectrum,
     _fd_step,
-    _require_real,
+    _refuse_imaginary,
     couplings,
     dderiv_jordan,
     dderiv_oracle_blockaug,
@@ -54,6 +54,9 @@ __all__ = [
 
 SPIKE_FLOOR_REL = 1e-12
 STABILITY_TOL = 1e-9
+# Samples per block of the modal evaluator and the minima scan: their
+# working memory is O(n * _BLOCK) whatever the grid length.
+_BLOCK = 1024
 # Matrix-valued oracles behind the non-analytic derivative methods; the
 # order fixes the pair names of ``logsens check``.
 ORACLES = {"quadrature": dderiv_oracle_quadrature,
@@ -165,7 +168,7 @@ class DivergenceClassification:
 
 
 def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
-    """e(t) and de/dxi(t) on a grid from a diagonalizable spectrum, O(n T).
+    """e(t) and de/dxi(t) on a grid from a diagonalizable spectrum.
 
     The error sums the modes at their raw eigenvalues.  The derivative is
     ``c @ dderiv_diag @ v`` folded into per-mode coefficients at the cluster
@@ -173,6 +176,12 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     across clusters (0 within one), de/dxi(t) = Re sum_m (a_m + b_m t)
     exp(lam_m t), a_m = sum_n R_mn - sum_n R_nm, b_m = sum_{n ~ m} W_mn.
     The coefficients are kept on ``sys`` for the last spectrum it was given.
+
+    The grid is evaluated in blocks of ``_BLOCK`` samples, so the working
+    memory is O(n B + T) besides the two output columns.  The error reuses
+    the exponentials of every mode whose cluster mean is its own eigenvalue.
+    The imaginary residue of de/dxi is judged once, against the whole
+    trace's largest modulus.
     """
     if spec.near_defective:
         raise ValueError(
@@ -191,9 +200,22 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
         kept = (spec, coup.z * coup.w, lam, a, b)
         object.__setattr__(sys, "_modal_coefficients", kept)
     _, zw, lam, a, b = kept
-    error = np.real(zw @ np.exp(np.outer(spec.eigenvalues, times)))
-    E = np.exp(np.outer(lam, times))
-    derror = _require_real(a @ E + (b @ E) * times, 1e-9, "analytic derivative")
+    moved = np.flatnonzero(lam != spec.eigenvalues)
+    error, derror = np.empty(len(times)), np.empty(len(times))
+    resid = absmax = 0.0
+    for lo in range(0, len(times), _BLOCK):
+        tb = times[lo:lo + _BLOCK]
+        E = np.exp(np.outer(lam, tb))
+        Er = E
+        if len(moved):
+            Er = E.copy()
+            Er[moved] = np.exp(np.outer(spec.eigenvalues[moved], tb))
+        error[lo:lo + _BLOCK] = np.real(zw @ Er)
+        X = a @ E + (b @ E) * tb
+        derror[lo:lo + _BLOCK] = X.real
+        resid = max(resid, float(np.max(np.abs(X.imag))))
+        absmax = max(absmax, float(np.max(np.abs(X))))
+    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
     return error, derror
 
 
@@ -394,11 +416,18 @@ def _numeric_minima_timing(zw, omegas, omega0, samples: int = 8192):
 
     Used when zero-frequency modes or several commensurate pairs share the
     dominant axis, where the single-pair phase formula does not apply.
-    Returns (t0, spacing) or None if the minima do not recur evenly.
+    The modulus is sampled in blocks of ``_BLOCK`` columns (O(n B) working
+    memory); the column sums add the modes in order, as one n x samples
+    array would.  Returns (t0, spacing) or None if the minima do not recur
+    evenly.
     """
     T = 2 * np.pi / omega0
     ts = np.linspace(0.0, T, samples, endpoint=False)
-    h = np.abs(np.sum(zw[:, None] * np.exp(1j * np.outer(omegas, ts)), axis=0))
+    h = np.empty(samples)
+    for lo in range(0, samples, _BLOCK):
+        tb = ts[lo:lo + _BLOCK]
+        h[lo:lo + _BLOCK] = np.abs(
+            np.sum(zw[:, None] * np.exp(1j * np.outer(omegas, tb)), axis=0))
     # local minima with periodic wraparound
     left = np.roll(h, 1)
     right = np.roll(h, -1)

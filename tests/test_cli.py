@@ -3,10 +3,10 @@
 import json
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import peak_mib
 
 from logsens.cli import (
     _CSV_BLOCK,
@@ -277,13 +277,7 @@ class TestTraceCsvWriter:
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # the row-at-a-time writer peaked at 45 MiB here, this one at 0.5 MiB
         tr = awkward_trace(200_000)
-        tracemalloc.start()
-        try:
-            write_trace_csv(tmp_path / "trace.csv", tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak_mib(lambda: write_trace_csv(tmp_path / "trace.csv", tr)) < 16
 
     def test_failed_stream_keeps_previous_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -359,8 +353,25 @@ class TestNearDefective:
         assert sorted(check_oracles(cfg, t_samples=3)) == [
             "max_rel_deviation", "pairs", "worst_pair"]
         spot = run_scenario(cfg, str(tmp_path))["oracle_check"]
-        assert sorted(spot) == ["max_rel_deviation", "methods", "sample_times"]
+        assert sorted(spot) == ["max_rel_deviation", "methods", "pairs",
+                                "sample_times"]
         assert spot["methods"] == ["analytic", "blockaug", "fd"]
+
+
+class TestOracleSpotCheck:
+    def test_pairs_keep_fd_truncation_apart(self, tmp_path):
+        # the five-time spot check of ``run``: fd's O(h^2) truncation (3.4e-8
+        # here) sets the maximum, analytic vs blockaug agrees to 1.2e-12
+        spot = run_scenario(validate_config({"kind": "two_qubit"}),
+                            str(tmp_path))["oracle_check"]
+        pairs = spot["pairs"]
+        assert sorted(pairs) == ["analytic_vs_blockaug", "analytic_vs_fd",
+                                 "blockaug_vs_fd"]
+        assert spot["max_rel_deviation"] == max(pairs.values())
+        assert pairs["analytic_vs_blockaug"] <= 1e-11
+        assert max(pairs, key=pairs.get) in ("analytic_vs_fd", "blockaug_vs_fd")
+        assert min(pairs["analytic_vs_fd"], pairs["blockaug_vs_fd"]) > 1e3 * pairs[
+            "analytic_vs_blockaug"]
 
 
 class TestCheckOracles:

@@ -1,25 +1,32 @@
 """Tests for trace evaluation, divergence classification and spike analysis."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from conftest import peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from logsens.matexp import (
     Spectrum,
+    _require_real,
     couplings,
     dderiv_oracle_blockaug,
     dderiv_oracle_fd,
     dderiv_oracle_quadrature,
     eig_decompose,
 )
+from logsens.quantum import spin_chain_scenario
 from logsens.sensan import (
+    _BLOCK,
     DERIVATIVE_METHODS,
     ORACLES,
     DivergenceClassification,
     ErrorSystem,
     SensitivityTrace,
+    _modal,
     classify,
     detect_spikes,
     error_derivative,
@@ -238,6 +245,135 @@ class TestModalEvaluator:
         with pytest.raises(ArithmeticError, match="imaginary residue"):
             trace(sys, grid, spectrum=bad)
         np.testing.assert_array_equal(trace(sys, grid).derror, first)
+
+
+def reference_modal(sys, spec, times):
+    """The unblocked evaluator the blocked one replaced: n x T exponentials
+    over the whole grid, a second set for the error, one residue check."""
+    coup = sys.couplings(spec)
+    lam = spec.cluster_means()
+    same = spec.same_cluster_mask()
+    W = coup.Sbar * np.outer(coup.z, coup.w)
+    R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+    a = R.sum(axis=1) - R.sum(axis=0)
+    b = np.where(same, W, 0.0).sum(axis=1)
+    error = np.real((coup.z * coup.w) @ np.exp(np.outer(spec.eigenvalues, times)))
+    E = np.exp(np.outer(lam, times))
+    derror = _require_real(a @ E + (b @ E) * times, 1e-9, "analytic derivative")
+    return error, derror
+
+
+def reference_minima_timing(zw, omegas, omega0, samples: int = 8192):
+    """The unblocked ``_numeric_minima_timing``: the modulus from one
+    n x samples array."""
+    T = 2 * np.pi / omega0
+    ts = np.linspace(0.0, T, samples, endpoint=False)
+    h = np.abs(np.sum(zw[:, None] * np.exp(1j * np.outer(omegas, ts)), axis=0))
+    # local minima with periodic wraparound
+    left = np.roll(h, 1)
+    right = np.roll(h, -1)
+    is_min = (h <= left) & (h <= right) & ((h < left) | (h < right))
+    idx = np.nonzero(is_min)[0]
+    if len(idx) == 0:
+        return None
+    depth = h[idx]
+    keep = idx[depth <= depth.min() + 1e-6 * (h.max() - depth.min() + 1e-300)]
+    # parabolic refinement of each kept minimum
+    times = []
+    for i in keep:
+        y0, y1, y2 = h[(i - 1) % samples], h[i], h[(i + 1) % samples]
+        denom = y0 - 2 * y1 + y2
+        shift = 0.5 * (y0 - y2) / denom if abs(denom) > 0 else 0.0
+        times.append((ts[i] + shift * (T / samples)) % T)
+    times = np.sort(np.array(times))
+    if len(times) > 1:
+        gaps = np.diff(np.concatenate([times, [times[0] + T]]))
+        if np.max(gaps) - np.min(gaps) > 1e-3 * T:
+            return None
+    spacing = T / len(times)
+    t0 = times[0] if times[0] > 1e-9 * T else times[0] + spacing
+    return t0, spacing
+
+
+class TestBlockedModal:
+    """Blocks of ``_BLOCK`` samples against the unblocked evaluator.
+
+    A grid of at most one block is the reference's own call, bit for bit.
+    Longer grids contract blocks with the same BLAS kernel on fewer
+    columns, whose rounding depends on the column count: on spin_chain
+    N >= 4 the error and de/dxi move by at most 5.6e-16 of the column
+    maximum (the bound below is 1e-15); two_qubit and the classical
+    systems come out identical.
+    """
+
+    DRIFT = 1e-15
+
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        2 * _BLOCK + 5])
+    @pytest.mark.parametrize("kind,params", [("two_qubit", {}),
+                                             ("spin_chain", {"N": 10})],
+                             ids=["two_qubit", "spin_chain_N10"])
+    def test_matches_unblocked(self, kind, params, length):
+        from logsens.cli import build_system, validate_config
+        cfg = validate_config({"kind": kind, "parameters": params})
+        sys = build_system(cfg)[0]
+        spec = sys.spectrum()
+        times = cfg.grid[2] * np.arange(length)
+        for got, want in zip(_modal(sys, spec, times), reference_modal(sys, spec, times)):
+            if length <= _BLOCK:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= self.DRIFT * np.max(np.abs(want))
+
+    def test_residue_judged_on_the_whole_trace(self):
+        # an unpaired complex mode leaves Im(de/dxi) ~ 1e-8 t; a fast real
+        # mode sets |de/dxi| ~ 3.7e3 in the first block and ~3e-8 in the
+        # last, so only a per-block scale of max(1, ...) would refuse
+        spec = Spectrum(eigenvalues=np.array([-1.0 + 0.0j, -1e-3 + 1.0j]),
+                        M=np.eye(2, dtype=complex), Minv=np.eye(2, dtype=complex),
+                        clusters=((0,), (1,)))
+        sys = ErrorSystem(A0=np.diag([-1.0, -2.0]), S=np.diag([1e4, 1e-8]),
+                          c=[1.0, 1.0], v=[1.0, 1.0], xi0=1.0)
+        grid = np.linspace(0.0, 30.0, 2 * _BLOCK + 5)
+        tr = trace(sys, grid, spectrum=spec)
+        np.testing.assert_array_equal(tr.derror, reference_modal(sys, spec, grid)[1])
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            trace(sys, grid[2 * _BLOCK:], spectrum=spec)
+
+    def test_trace_memory(self):
+        # unblocked: 61 MiB (n x T complex exponentials, twice)
+        _, sys = spin_chain_scenario(10)
+        sys.spectrum()
+        grid = 0.01 * np.arange(20_000)
+        assert peak_mib(lambda: trace(sys, grid)) < 16
+
+
+class TestBlockedMinimaScan:
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_classify_matches_unblocked(self, N, monkeypatch):
+        import logsens.sensan as sensan
+        calls = []
+
+        def unblocked(*args):
+            calls.append(args)
+            return reference_minima_timing(*args)
+
+        for pc in range(1, N):
+            _, sys = spin_chain_scenario(N, perturbed_coupling=pc)
+            spec = sys.spectrum()
+            coup = couplings(spec, sys.S, sys.c, sys.v)
+            blocked = asdict(classify(spec, coup, sys.xi0))
+            monkeypatch.setattr(sensan, "_numeric_minima_timing", unblocked)
+            assert asdict(classify(spec, coup, sys.xi0)) == blocked
+            monkeypatch.undo()
+        assert len(calls) == N - 1
+
+    def test_classify_memory(self):
+        # unblocked: 24.2 MiB (three 100 x 8192 complex arrays)
+        _, sys = spin_chain_scenario(10)
+        spec = sys.spectrum()
+        coup = couplings(spec, sys.S, sys.c, sys.v)
+        assert peak_mib(lambda: classify(spec, coup, sys.xi0)) < 8
 
 
 def cli_system(kind):
