@@ -137,16 +137,12 @@ class Spectrum:
         if M.shape != (len(lam), len(lam)):
             raise ValueError("M shape inconsistent with eigenvalue count")
         Minv = np.linalg.inv(M)
-        clusters = []
-        seen = set()
-        for start, size in blocks:
-            grp = tuple(range(start, start + size))
-            clusters.append(grp)
-            seen.update(grp)
-        # equal eigenvalues outside declared blocks cluster as usual
-        rest = [i for i in range(len(lam)) if i not in seen]
-        for grp in _cluster_indices(lam[rest], DEFAULT_CLUSTER_TOL):
-            clusters.append(tuple(rest[i] for i in grp))
+        # each block clusters as one unit, at its leading eigenvalue, with
+        # the blocks and simple eigenvalues that equal it
+        size, inner = dict(blocks), {i for s, z in blocks for i in range(s + 1, s + z)}
+        units = [range(i, i + size.get(i, 1)) for i in range(len(lam)) if i not in inner]
+        clusters = [tuple(k for u in grp for k in units[u]) for grp in _cluster_indices(
+            lam[[u[0] for u in units]], DEFAULT_CLUSTER_TOL)]
         cond = float(np.linalg.cond(M))
         return cls(
             eigenvalues=lam,

@@ -30,7 +30,6 @@ from .matexp import (
     _fd_step,
     _refuse_imaginary,
     couplings,
-    dderiv_jordan,
     dderiv_oracle_blockaug,
     dderiv_oracle_fd,
     dderiv_oracle_quadrature,
@@ -168,38 +167,56 @@ class DivergenceClassification:
 
 
 def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
-    """e(t) and de/dxi(t) on a grid from a diagonalizable spectrum.
+    """e(t) and de/dxi(t) on a grid, from any spectrum with its Jordan data.
 
-    The error sums the modes at their raw eigenvalues.  The derivative is
-    ``c @ dderiv_diag @ v`` folded into per-mode coefficients at the cluster
-    means lam: with W = Sbar * outer(z, w) and R_mn = W_mn / (lam_m - lam_n)
-    across clusters (0 within one), de/dxi(t) = Re sum_m (a_m + b_m t)
-    exp(lam_m t), a_m = sum_n R_mn - sum_n R_nm, b_m = sum_{n ~ m} W_mn.
+    In the Jordan basis, couplings shift along blocks, z^(i)_p = z_{p-i} and
+    w^(j)_q = w_{q+j} (0 off the block), and each (i, j) weights W = Sbar *
+    outer(z^(i), w^(j)) by the integral of e^{lam_p (t-tau)} (t-tau)^i/i!
+    e^{lam_q tau} tau^j/j! at the cluster means lam: t^(i+j+1)/(i+j+1)!
+    e^{lam_p t} within a cluster, partial fractions in t^r e^{lam_p t}, r <=
+    i, and t^r e^{lam_q t}, r <= j, across.  So de/dxi = Re sum_k t^k C_k @
+    e^{lam t} and e = Re sum_i t^i (z^(i) w / i!) @ e^{lam_raw t}.  Without
+    blocks only (0, 0) is left: C_0 = a, C_1 = b with R_mn = W_mn / (lam_m -
+    lam_n) across clusters, a_m = sum_n (R_mn - R_nm), b_m = sum_{n~m} W_mn.
     The coefficients are kept on ``sys`` for the last spectrum it was given.
 
-    The grid is evaluated in blocks of ``_BLOCK`` samples, so the working
-    memory is O(n B + T) besides the two output columns.  The error reuses
-    the exponentials of every mode whose cluster mean is its own eigenvalue.
-    The imaginary residue of de/dxi is judged once, against the whole
-    trace's largest modulus.
+    The grid is evaluated in blocks of ``_BLOCK`` samples, by Horner's rule
+    in t, so the working memory is O(n B + T) besides the two output
+    columns.  The error reuses the exponentials of every mode whose cluster
+    mean is its own eigenvalue.  The imaginary residue of de/dxi is judged
+    once, against the whole trace's largest modulus.
     """
-    if spec.near_defective:
+    if spec.near_defective and not spec.is_defective:
         raise ValueError(
             f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}); use "
             "--method blockaug|quadrature|fd, or Spectrum.from_jordan data"
         )
     kept = sys.__dict__.get("_modal_coefficients")
     if kept is None or kept[0] is not spec:
-        coup = sys.couplings(spec)
-        lam = spec.cluster_means()
-        same = spec.same_cluster_mask()
-        W = coup.Sbar * np.outer(coup.z, coup.w)
-        R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
-        a = R.sum(axis=1) - R.sum(axis=0)
-        b = np.where(same, W, 0.0).sum(axis=1)
-        kept = (spec, coup.z * coup.w, lam, a, b)
+        coup, p = sys.couplings(spec), np.arange(spec.n)
+        lam, same = spec.cluster_means(), spec.same_cluster_mask()
+        d = np.where(same, 1.0, lam[:, None] - lam[None, :])
+        head, end = p.copy(), p + 1
+        for s, size in spec.jordan_blocks:
+            head[s:s + size], end[s:s + size] = s, s + size
+        L = int(np.max(end - head))
+        zs = [np.where(p - i >= head, np.roll(coup.z, i), 0) for i in range(L)]
+        ws = [np.where(p + j < end, np.roll(coup.w, -j), 0) for j in range(L)]
+        C = np.zeros((2 * L, spec.n), np.result_type(coup.Sbar, lam))
+        for i, j in np.ndindex(L, L):
+            W = coup.Sbar * np.outer(zs[i], ws[j])
+            C[i + j + 1] += np.where(same, W, 0.0).sum(axis=1) / math.factorial(i + j + 1)
+            R = np.where(same, 0.0, W) / d ** np.arange(i + j + 2)[:, None, None]
+            for r in range(i + 1):
+                C[r] += ((-1) ** (i - r) * math.comb(i - r + j, j) / math.factorial(r)
+                         * R[i - r + j + 1].sum(axis=1))
+            for r in range(j + 1):
+                C[r] -= ((-1) ** i * math.comb(j - r + i, i) / math.factorial(r)
+                         * R[j - r + i + 1].sum(axis=0))
+        Ce = np.array([zs[i] * coup.w / math.factorial(i) for i in range(L)])
+        kept = (spec, Ce, lam, C)
         object.__setattr__(sys, "_modal_coefficients", kept)
-    _, zw, lam, a, b = kept
+    _, Ce, lam, C = kept
     moved = np.flatnonzero(lam != spec.eigenvalues)
     error, derror = np.empty(len(times)), np.empty(len(times))
     resid = absmax = 0.0
@@ -210,13 +227,21 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
         if len(moved):
             Er = E.copy()
             Er[moved] = np.exp(np.outer(spec.eigenvalues[moved], tb))
-        error[lo:lo + _BLOCK] = np.real(zw @ Er)
-        X = a @ E + (b @ E) * tb
+        error[lo:lo + _BLOCK] = np.real(_horner(Ce, Er, tb))
+        X = _horner(C, E, tb)
         derror[lo:lo + _BLOCK] = X.real
         resid = max(resid, float(np.max(np.abs(X.imag))))
         absmax = max(absmax, float(np.max(np.abs(X))))
     _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
     return error, derror
+
+
+def _horner(C, E, tb):
+    """sum_k tb^k (C[k] @ E), by Horner's rule from the last row of C."""
+    X = C[-1] @ E
+    for Ck in C[-2::-1]:
+        X = X * tb + Ck @ E
+    return X
 
 
 def _modal_at(sys: ErrorSystem, t: float):
@@ -252,9 +277,10 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
           spectrum: Spectrum | None = None) -> SensitivityTrace:
     """Sample e, de/dxi and s(xi0, t) on a time grid.
 
-    ``method`` selects the derivative path.  ``spectrum`` overrides the
-    computed eigendecomposition; supply a ``Spectrum.from_jordan`` result to
-    drive the analytic path on a known-defective generator.  Oracle methods
+    ``method`` selects the derivative path.  The analytic path is one
+    ``_modal`` call on the system's spectrum, or on ``spectrum`` when given:
+    a ``Spectrum.from_jordan`` result, any block layout, drives it on a
+    known-defective generator.  Oracle methods
     step a state (``_stepped``), never eigendecomposing: blockaug ``[[A0, S],
     [0, A0]]`` on ``[0; v]``; fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that
     ``(d+ + d-) / 2h`` does not cancel; quadrature ``[y; x]`` by the
@@ -274,16 +300,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     z, Z = np.zeros_like(v), np.zeros_like(A0)
     readout = np.block([[z, c], [c, z]])  # e from the lower half, de/dxi upper
     if method == "analytic":
-        spec = spectrum if spectrum is not None else sys.spectrum()
-        if spec.is_defective:
-            coup = sys.couplings(spec)
-            error = np.empty(len(times))
-            derror = np.empty(len(times))
-            for i, t in enumerate(times):
-                error[i] = _error_jordan(spec, coup.z, coup.w, t)
-                derror[i] = float(sys.c @ dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
-        else:
-            error, derror = _modal(sys, spec, times)
+        error, derror = _modal(sys, spectrum or sys.spectrum(), times)
     elif method == "blockaug":
         G = np.block([[A0, S], [Z, A0]])
         error, derror = _stepped(lambda d: expm(d * G), np.r_[z, v], readout, times)
@@ -347,19 +364,6 @@ def _stepped(step, x0, R, times):
         x = P @ x
         out[i] = R @ x
     return out.T
-
-
-def _error_jordan(spec: Spectrum, zt, wt, t) -> float:
-    """e(t) for a spectrum with one nontrivial Jordan block."""
-    lam = spec.eigenvalues
-    val = np.sum(zt * wt * np.exp(lam * t))
-    for start, size in spec.jordan_blocks:
-        if size > 1:
-            lam1 = lam[start]
-            for p in range(start, start + size - 1):
-                for q in range(p + 1, start + size):
-                    val += zt[p] * wt[q] * np.exp(lam1 * t) * t ** (q - p) / math.factorial(q - p)
-    return float(val.real)
 
 
 def _rational_fundamental(freqs, max_den: int = 64, rtol: float = 1e-9):

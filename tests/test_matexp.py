@@ -6,6 +6,7 @@ as independent oracles for the analytic (eigenbasis / Jordan) paths.
 
 import numpy as np
 import pytest
+from conftest import make_jordan_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -207,23 +208,6 @@ class TestDderivDiag:
         assert rel_dev(got, ref) < 1e-9
 
 
-def make_jordan_system(rng, ell, n_extra, lam1=-0.3, spread=1.0):
-    """Real defective A with one dominant size-ell block and simple real rest."""
-    n = ell + n_extra
-    lam_rest = lam1 - spread * (1.0 + np.arange(n_extra)) - rng.uniform(0, 0.3, n_extra)
-    J = np.diag(np.concatenate([np.full(ell, lam1), lam_rest]))
-    for i in range(ell - 1):
-        J[i, i + 1] = 1.0
-    while True:
-        M = np.eye(n) + 0.4 * rng.standard_normal((n, n))
-        if np.linalg.cond(M) < 50:
-            break
-    A = M @ J @ np.linalg.inv(M)
-    eigs = np.concatenate([np.full(ell, lam1), lam_rest])
-    spec = Spectrum.from_jordan(eigs, M, [(0, ell)])
-    return A, spec
-
-
 class TestDderivJordan:
     def test_hand_worked_block(self):
         # A = [[-1,1],[0,-1]], S = [[0,0],[1,0]]: closed form known
@@ -237,7 +221,7 @@ class TestDderivJordan:
 
     def test_vs_quadrature_l2(self):
         rng = np.random.default_rng(4)
-        A, spec = make_jordan_system(rng, ell=2, n_extra=2)
+        A, spec = make_jordan_system(rng, [2], n_extra=2)
         S = rng.standard_normal((4, 4))
         Sbar = spec.Minv @ S @ spec.M
         for t in (0.5, 2.0, 7.0):
@@ -247,7 +231,7 @@ class TestDderivJordan:
 
     def test_vs_quadrature_l3(self):
         rng = np.random.default_rng(9)
-        A, spec = make_jordan_system(rng, ell=3, n_extra=1)
+        A, spec = make_jordan_system(rng, [3], n_extra=1)
         S = rng.standard_normal((4, 4))
         Sbar = spec.Minv @ S @ spec.M
         for t in (0.7, 3.0):

@@ -1,10 +1,11 @@
 """Tests for trace evaluation, divergence classification and spike analysis."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import peak_mib
+from conftest import make_jordan_system, peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -13,6 +14,7 @@ from logsens.matexp import (
     Spectrum,
     _require_real,
     couplings,
+    dderiv_jordan,
     dderiv_oracle_blockaug,
     dderiv_oracle_fd,
     dderiv_oracle_quadrature,
@@ -247,9 +249,10 @@ class TestModalEvaluator:
         np.testing.assert_array_equal(trace(sys, grid).derror, first)
 
 
-def reference_modal(sys, spec, times):
-    """The unblocked evaluator the blocked one replaced: n x T exponentials
-    over the whole grid, a second set for the error, one residue check."""
+def reference_coefficients(sys, spec):
+    """The per-mode coefficients of a diagonalizable spectrum before Jordan
+    blocks were folded in: e = Re zw @ exp(lam_raw t), de/dxi = Re (a + b t)
+    @ exp(lam t) at the cluster means lam."""
     coup = sys.couplings(spec)
     lam = spec.cluster_means()
     same = spec.same_cluster_mask()
@@ -257,7 +260,14 @@ def reference_modal(sys, spec, times):
     R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
     a = R.sum(axis=1) - R.sum(axis=0)
     b = np.where(same, W, 0.0).sum(axis=1)
-    error = np.real((coup.z * coup.w) @ np.exp(np.outer(spec.eigenvalues, times)))
+    return coup.z * coup.w, lam, a, b
+
+
+def reference_modal(sys, spec, times):
+    """The unblocked evaluator the blocked one replaced: n x T exponentials
+    over the whole grid, a second set for the error, one residue check."""
+    zw, lam, a, b = reference_coefficients(sys, spec)
+    error = np.real(zw @ np.exp(np.outer(spec.eigenvalues, times)))
     E = np.exp(np.outer(lam, times))
     derror = _require_real(a @ E + (b @ E) * times, 1e-9, "analytic derivative")
     return error, derror
@@ -374,6 +384,134 @@ class TestBlockedMinimaScan:
         spec = sys.spectrum()
         coup = couplings(spec, sys.S, sys.c, sys.v)
         assert peak_mib(lambda: classify(spec, coup, sys.xi0)) < 8
+
+
+def reference_jordan_trace(sys, spec, times):
+    """The per-sample loop the modal evaluator replaced on Jordan spectra:
+    ``dderiv_jordan`` at every time (one dominant block only), and the error
+    summed along each block at its leading eigenvalue."""
+    coup = sys.couplings(spec)
+    lam = spec.eigenvalues
+    error, derror = np.empty(len(times)), np.empty(len(times))
+    for i, t in enumerate(times):
+        val = np.sum(coup.z * coup.w * np.exp(lam * t))
+        for start, size in spec.jordan_blocks:
+            for p in range(start, start + size - 1):
+                for q in range(p + 1, start + size):
+                    val += (coup.z[p] * coup.w[q] * np.exp(lam[start] * t)
+                            * t ** (q - p) / math.factorial(q - p))
+        error[i] = val.real
+        derror[i] = float(sys.c @ dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
+    return error, derror
+
+
+def jordan_case(seed, sizes, n_extra=0, **kw):
+    """(ErrorSystem, Spectrum) of a random real defective system."""
+    rng = np.random.default_rng(seed)
+    A, spec = make_jordan_system(rng, sizes, n_extra, **kw)
+    n = spec.n
+    sys = ErrorSystem(A0=A, S=rng.standard_normal((n, n)), c=rng.standard_normal(n),
+                      v=rng.standard_normal(n), xi0=1.0)
+    return sys, spec
+
+
+def column_dev(got, want):
+    """Largest deviation of each column pair, as a fraction of its maximum."""
+    return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
+
+
+@st.composite
+def jordan_layouts(draw):
+    """Up to 3 blocks of sizes 1-3 at real parts 0.1 apart (at least 0.1 from
+    each other); a block may sit on a complex eigenvalue, with its conjugate
+    block."""
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    steps = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k, unique=True))
+    imag = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=k, max_size=k))
+    return sizes, [complex(-0.1 * s, w) for s, w in zip(steps, imag)]
+
+
+class TestJordanModal:
+    """Jordan spectra go through the same blocked evaluator as every other.
+
+    The per-sample loop it replaced agrees to ~1e-13 of column max on
+    single-dominant-block systems; both sit ~1e-10 from blockaug at gaps of
+    0.1, from the partial-fraction cancellation ~eps / gap^(2l-1).
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        sys, spec = jordan_case(seed, [int(rng.integers(2, 4))], int(rng.integers(1, 3)),
+                                lam1=-float(rng.uniform(0.05, 0.5)),
+                                spread=float(rng.uniform(0.4, 1.5)))
+        grid = np.linspace(0.0, 40.0, 161)
+        tr = trace(sys, grid, spectrum=spec)
+        assert column_dev((tr.error, tr.derror),
+                          reference_jordan_trace(sys, spec, grid)) <= 1e-12
+
+    @given(jordan_layouts(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_matches_blockaug(self, layout, seed):
+        sizes, eigenvalues = layout
+        sys, spec = jordan_case(seed, sizes, eigenvalues=eigenvalues)
+        grid = np.linspace(0.0, 30.0, 121)
+        tr = trace(sys, grid, spectrum=spec)
+        ref = trace(sys, grid, method="blockaug")
+        assert column_dev((tr.error, tr.derror), (ref.error, ref.derror)) <= 1e-9
+
+    def test_conjugate_pair_of_blocks(self):
+        sys, spec = jordan_case(3, [2, 1], eigenvalues=[-0.2 + 1.0j, -0.7])
+        assert spec.jordan_blocks == ((0, 2), (2, 2), (4, 1))
+        grid = np.linspace(0.0, 30.0, 121)
+        tr = trace(sys, grid, spectrum=spec)
+        ref = trace(sys, grid, method="blockaug")
+        assert column_dev((tr.error, tr.derror), (ref.error, ref.derror)) <= 1e-9
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [2, 1], [3, 2, 1]])
+    def test_blocks_at_one_eigenvalue(self, sizes):
+        # each declared block used to be its own cluster: 0 / 0 across them
+        sys, spec = jordan_case(7, sizes, n_extra=1)
+        assert tuple(range(sum(sizes))) in spec.clusters
+        grid = np.linspace(0.0, 30.0, 121)
+        tr = trace(sys, grid, spectrum=spec)
+        ref = trace(sys, grid, method="blockaug")
+        assert column_dev((tr.error, tr.derror), (ref.error, ref.derror)) <= 1e-9
+
+    def test_never_calls_dderiv_jordan(self, monkeypatch):
+        import logsens.matexp as matexp
+        import logsens.sensan as sensan
+
+        def refuse(*args):
+            raise AssertionError("dderiv_jordan called")
+
+        monkeypatch.setattr(matexp, "dderiv_jordan", refuse)
+        assert not hasattr(sensan, "dderiv_jordan")
+        sys, spec = jordan_case(1, [3], n_extra=2)
+        tr = trace(sys, np.linspace(0.0, 20.0, 81), spectrum=spec)
+        assert np.all(np.isfinite(tr.derror))
+
+    def test_memory(self):
+        # the per-sample loop held only O(T) too, but took ~0.1 ms a sample
+        sys, spec = jordan_case(2, [3], n_extra=2)
+        grid = 1e-3 * np.arange(100_000)
+        assert peak_mib(lambda: trace(sys, grid, spectrum=spec)) < 16
+
+    @pytest.mark.parametrize("kind,params", [
+        ("spring_mass", {}), ("rlc", {}), ("two_qubit", {}),
+        ("spin_chain", {"N": 4}), ("spin_chain", {"N": 10})])
+    def test_diagonalizable_coefficients_unchanged(self, kind, params):
+        from logsens.cli import build_system, validate_config
+        sys = build_system(validate_config({"kind": kind, "parameters": params}))[0]
+        spec = sys.spectrum()
+        _modal(sys, spec, np.zeros(1))
+        _, Ce, lam, C = sys._modal_coefficients
+        zw, lam_ref, a, b = reference_coefficients(sys, spec)
+        assert Ce.shape == (1, spec.n) and C.shape == (2, spec.n)
+        for got, want in zip((Ce[0], lam, C[0], C[1]), (zw, lam_ref, a, b)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def cli_system(kind):
