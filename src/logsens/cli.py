@@ -9,9 +9,10 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure, 2 config error.  Output locations honor ``LOGSENS_OUT_DIR`` when no
-explicit out-dir is given.  For a fixed config the outputs are byte-identical
-across runs: no timestamps, sorted report keys, shortest round-trip floats.
+failure, 2 config error (a grid of more than ``MAX_GRID_ROWS`` samples is
+one).  Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
+given.  For a fixed config the outputs are byte-identical across runs: no
+timestamps, sorted report keys, shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
 """
@@ -59,6 +60,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 KINDS = ("spring_mass", "rlc", "two_qubit", "spin_chain", "custom")
+
+# Row budget: the most samples a grid (or ``check --samples``) may ask for.
+# A trace holds O(rows) memory, so a larger grid, or one whose row count is
+# not finite, is refused as a config error before anything is allocated.
+MAX_GRID_ROWS = 10 ** 7
 
 # Documented grid step for the discretization-dependent fidelity-1.0 rows of
 # the chain trade-off table; |s| diverges at exact transfer, so those rows
@@ -308,6 +314,10 @@ def validate_config(raw) -> ScenarioConfig:
         raise ConfigError("grid.dt", "must be positive")
     if t_start < 0 or t_end <= t_start:
         raise ConfigError("grid", "need t_end > t_start >= 0")
+    rows = (t_end - t_start) / dt + 1
+    if not rows <= MAX_GRID_ROWS:  # also refuses inf and nan
+        raise ConfigError("grid", f"{rows:.3g} rows exceed the row budget "
+                                  f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}")
     method = _want(raw.get("method"), "method", str, "analytic")
     if method not in DERIVATIVE_METHODS:
         raise ConfigError("method", f"must be one of {DERIVATIVE_METHODS}")
@@ -698,8 +708,9 @@ def main(argv=None) -> int:
                   f"{cfg.outputs['report_json']}")
             return 0
         if args.command == "check":
-            if args.samples < 1:
-                raise ConfigError("--samples", f"need at least 1, got {args.samples}")
+            if not 1 <= args.samples <= MAX_GRID_ROWS:
+                raise ConfigError("--samples", f"need 1 to the row budget "
+                                  f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}, got {args.samples}")
             cfg = _load_config(args.config, args.grid)
             print(_dumps(_json_value(check_oracles(cfg, args.samples))))
             return 0

@@ -642,8 +642,9 @@ def detect_spikes(tr: SensitivityTrace, prominence_decades: float = 0.5,
     """Times of local maxima of |logsens| driven by near-zeros of the error.
 
     Spikes of the log-sensitivity live where the error dips toward zero, so
-    candidates come from the error channel: sign changes and tangential local
-    minima of |error| below ``error_dip_frac`` of its local scale.  Each
+    candidates come from the error channel: sign changes (a run of flips in
+    adjacent intervals is one, at the mean of their times) and tangential
+    local minima of |error| below ``error_dip_frac`` of its local scale.  Each
     candidate is then required to tower over the nearby finite |logsens|
     samples by ``prominence_decades`` (automatically satisfied where the
     sample is spike-masked, including exponentially decayed tails where every
@@ -660,9 +661,13 @@ def detect_spikes(tr: SensitivityTrace, prominence_decades: float = 0.5,
     candidates = []
     sign = np.sign(e)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for k in flips:
-        tstar = t[k] - e[k] * (t[k + 1] - t[k]) / (e[k + 1] - e[k])
-        candidates.append((k if abse[k] <= abse[k + 1] else k + 1, float(tstar)))
+    # flips in adjacent intervals share a sample: a tangential zero whose
+    # sample rounded to the other sign is one candidate, not two
+    runs = np.split(flips, np.flatnonzero(np.diff(flips) > 1) + 1) if len(flips) else []
+    for run in runs:
+        tstar = t[run] - e[run] * (t[run + 1] - t[run]) / (e[run + 1] - e[run])
+        span = np.arange(run[0], run[-1] + 2)
+        candidates.append((int(span[np.argmin(abse[span])]), float(np.mean(tstar))))
     # tangential dips (covers masked samples, which are near-zeros of |e|)
     dip = np.nonzero(
         (abse[1:-1] <= abse[:-2]) & (abse[1:-1] <= abse[2:])

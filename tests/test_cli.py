@@ -716,3 +716,52 @@ class TestMainExitCodes:
                                     "grid": {"t_start": 1.0, "t_end": 5.0}})
         assert main(["check", cfg, "--samples", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["worst_pair"] is not None
+
+
+class TestGridBudget:
+    """Grids are bounded by ``MAX_GRID_ROWS`` before anything is allocated."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("grid", [{"t_end": 1.0, "dt": 0.01},
+                                      {"t_end": 0.99, "dt": 0.01}])
+    def test_within_budget_runs(self, tmp_path, monkeypatch, grid):
+        import logsens.cli as cli
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 101)
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": grid})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+
+    def test_over_budget_is_2(self, tmp_path, monkeypatch, capsys):
+        import logsens.cli as cli
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 100)
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "grid": {"t_end": 1.0, "dt": 0.01}})
+        for argv in (["run", cfg, "--out-dir", str(tmp_path)], ["check", cfg]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: grid: ") and "MAX_GRID_ROWS = 1e+02" in err
+        assert not (tmp_path / "trace.csv").exists()
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 5.0}})
+        assert main(["run", cfg, "--grid", "0:1:0.001"]) == 2
+        assert "row budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [{"dt": 5e-324}, {"dt": 1e-12},
+                                      {"dt": float("nan")}, {"t_start": float("nan")},
+                                      {"t_end": float("inf")}])
+    def test_unallocatable_grids_are_2(self, tmp_path, capsys, grid):
+        # the default budget refuses these before np.arange is reached
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": grid})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid: ")
+
+    def test_check_samples_over_budget_is_2(self, tmp_path, monkeypatch, capsys):
+        import logsens.cli as cli
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 100)
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "grid": {"t_end": 0.5, "dt": 0.01}})
+        assert main(["check", cfg, "--samples", "100"]) == 0
+        capsys.readouterr()
+        assert main(["check", cfg, "--samples", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --samples: ")
+        assert "MAX_GRID_ROWS = 1e+02" in captured.err and captured.out == ""

@@ -900,3 +900,37 @@ class TestDetectSpikes:
         spikes = detect_spikes(tr)
         np.testing.assert_allclose(spikes, [np.pi, 3 * np.pi, 5 * np.pi],
                                    atol=2e-2)
+
+    def test_tangential_zero_sampled_at_the_other_sign(self):
+        # the touching sample rounds below zero: two flips share it, one spike
+        ts = np.arange(0.0, 20.0, 0.01)
+        e = 0.5 * (1 + np.cos(ts))
+        touch = [int(np.argmin(np.abs(ts - k * np.pi))) for k in (1, 3, 5)]
+        e[touch] = -3e-16
+        de = -ts * np.sin(ts)
+        mask = np.abs(e) <= 1e-12 * np.max(np.abs(e))
+        s = np.where(mask, np.nan, de / np.where(mask, 1.0, e))
+        spikes = detect_spikes(SensitivityTrace(ts, e, de, s, mask))
+        np.testing.assert_allclose(spikes, [np.pi, 3 * np.pi, 5 * np.pi], atol=1e-2)
+
+    def test_spin_chain_touching_zeros_counted_once(self):
+        # e(t) touches zero at t = 5 + 10k; the sample at t = 25 reads
+        # -3.3e-16 between positive neighbours
+        from logsens.cli import build_system, validate_config
+        cfg = validate_config({"kind": "spin_chain",
+                               "parameters": {"N": 4, "perturbed_coupling": 1}})
+        tr = trace(build_system(cfg)[0], cfg.grid_times())
+        assert np.count_nonzero(tr.error < 0) > 0
+        spikes = detect_spikes(tr)
+        assert len(spikes) == 5
+        np.testing.assert_allclose(spikes, 5.0 + 10.0 * np.arange(5), rtol=0, atol=1e-9)
+
+    def test_rlc_complex_schedule_unchanged(self):
+        # spikes at 10.49 + 10 k while exp(-2 t) is still a normal double
+        from logsens.cli import build_system, validate_config
+        cfg = validate_config({
+            "kind": "rlc", "grid": {"t_end": 500.0, "dt": 5e-3},
+            "parameters": {"poles": [[-2.0, np.pi / 10], [-2.0, -np.pi / 10]]}})
+        spikes = detect_spikes(trace(build_system(cfg)[0], cfg.grid_times()))
+        spikes = spikes[(spikes >= 5.0) & (spikes <= np.log(1e300) / 2)]
+        np.testing.assert_allclose(spikes, 10.49 + 10.0 * np.arange(34), atol=0.05)
