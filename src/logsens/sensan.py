@@ -280,12 +280,12 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     ``method`` selects the derivative path.  The analytic path is one
     ``_modal`` call on the system's spectrum, or on ``spectrum`` when given:
     a ``Spectrum.from_jordan`` result, any block layout, drives it on a
-    known-defective generator.  Oracle methods
-    step a state (``_stepped``), never eigendecomposing: blockaug ``[[A0, S],
-    [0, A0]]`` on ``[0; v]``; fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that
-    ``(d+ + d-) / 2h`` does not cancel; quadrature ``[y; x]`` by the
-    semigroup property, ``y <- expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x``
-    with ``Q(d)`` the quadrature of the defining integral over one step.
+    known-defective generator.  Oracle methods step a state (``_stepped``),
+    never eigendecomposing: blockaug ``[[A0, S], [0, A0]]`` on ``[0; v]``;
+    fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that ``(d+ + d-) / 2h`` does
+    not cancel; quadrature ``[y; x]`` by the semigroup property, ``y <-
+    expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x`` with ``Q(d)`` the
+    quadrature of the defining integral over one step.
     """
     times = np.asarray(grid, dtype=float).reshape(-1)
     if len(times) == 0:
