@@ -206,13 +206,13 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
         for i, j in np.ndindex(L, L):
             W = coup.Sbar * np.outer(zs[i], ws[j])
             C[i + j + 1] += np.where(same, W, 0.0).sum(axis=1) / math.factorial(i + j + 1)
-            R = np.where(same, 0.0, W) / d ** np.arange(i + j + 2)[:, None, None]
-            for r in range(i + 1):
-                C[r] += ((-1) ** (i - r) * math.comb(i - r + j, j) / math.factorial(r)
-                         * R[i - r + j + 1].sum(axis=1))
-            for r in range(j + 1):
-                C[r] -= ((-1) ** i * math.comb(j - r + i, i) / math.factorial(r)
-                         * R[j - r + i + 1].sum(axis=0))
+            R = np.where(same, 0.0, W)
+            for r in range(i + j, -1, -1):  # R = W / (lam_p - lam_q)^(i+j+1-r)
+                R, f = R / d, math.factorial(r)
+                if r <= i:
+                    C[r] += (-1) ** (i - r) * math.comb(i + j - r, j) / f * R.sum(axis=1)
+                if r <= j:
+                    C[r] -= (-1) ** i * math.comb(i + j - r, i) / f * R.sum(axis=0)
         Ce = np.array([zs[i] * coup.w / math.factorial(i) for i in range(L)])
         kept = (spec, Ce, lam, C)
         object.__setattr__(sys, "_modal_coefficients", kept)

@@ -422,9 +422,9 @@ def column_dev(got, want):
 
 @st.composite
 def jordan_layouts(draw):
-    """Up to 3 blocks of sizes 1-3 at real parts 0.1 apart (at least 0.1 from
-    each other); a block may sit on a complex eigenvalue, with its conjugate
-    block."""
+    """Up to 3 blocks of sizes 1-3 at distinct real parts on a 0.1 grid, so
+    at least 0.1 apart; a block may sit on a complex eigenvalue, followed by
+    its conjugate block."""
     k = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     steps = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k, unique=True))
