@@ -435,9 +435,10 @@ def jordan_layouts(draw):
 class TestJordanModal:
     """Jordan spectra go through the same blocked evaluator as every other.
 
-    The per-sample loop it replaced agrees to ~1e-13 of column max on
-    single-dominant-block systems; both sit ~1e-10 from blockaug at gaps of
-    0.1, from the partial-fraction cancellation ~eps / gap^(2l-1).
+    The per-sample loop it replaced agrees to ~2e-14 of column max on
+    single-dominant-block systems (300 cases); both sit up to ~3e-10 from
+    blockaug at gaps of 0.1, from the partial-fraction cancellation
+    ~eps / gap^(2l-1).
     """
 
     @pytest.mark.parametrize("seed", range(40))
