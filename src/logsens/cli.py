@@ -9,10 +9,12 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure, 2 config error (a grid of more than ``MAX_GRID_ROWS`` samples is
-one).  Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
-given.  For a fixed config the outputs are byte-identical across runs: no
-timestamps, sorted report keys, shortest round-trip floats.
+failure or out of memory, 2 config error (a grid of more than
+``MAX_GRID_ROWS`` samples is one).  Output locations honor
+``LOGSENS_OUT_DIR`` when no explicit out-dir is given.  For a fixed config
+the outputs are byte-identical across runs on one numpy/scipy/BLAS build
+and BLAS thread count: no timestamps, sorted report keys, shortest
+round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
 """
@@ -731,6 +733,9 @@ def main(argv=None) -> int:
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, ValueError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 1
     return 2
 

@@ -130,12 +130,31 @@ class Spectrum:
         chains as columns in the same order, and ``blocks`` is a sequence of
         ``(start_index, size)`` pairs for the nontrivial blocks.  Numerical
         Jordan detection is ill-posed, so the structure is always supplied by
-        the caller.
+        the caller.  Each block must have size >= 1, lie inside the
+        eigenvalue list, overlap no other block and hold equal eigenvalues
+        (within ``DEFAULT_CLUSTER_TOL``); a ``ValueError`` names any that
+        does not.
         """
         lam = np.asarray(eigenvalues, dtype=complex)
         M = np.asarray(M, dtype=complex)
-        if M.shape != (len(lam), len(lam)):
+        n = len(lam)
+        if M.shape != (n, n):
             raise ValueError("M shape inconsistent with eigenvalue count")
+        blocks = [(int(s), int(z)) for s, z in blocks]
+        tol = DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+        taken = set()
+        for s, z in blocks:
+            block = f"Jordan block (start {s}, size {z})"
+            if z < 1:
+                raise ValueError(f"{block}: size must be at least 1")
+            if s < 0 or s + z > n:
+                raise ValueError(f"{block} lies outside indices 0..{n - 1}")
+            if taken & set(range(s, s + z)):
+                raise ValueError(f"{block} overlaps another block")
+            taken.update(range(s, s + z))
+            if np.max(np.abs(lam[s:s + z] - lam[s])) > tol:
+                raise ValueError(f"{block} spans unequal eigenvalues "
+                                 f"{lam[s:s + z].tolist()}")
         Minv = np.linalg.inv(M)
         # each block clusters as one unit, at its leading eigenvalue, with
         # the blocks and simple eigenvalues that equal it
@@ -149,7 +168,7 @@ class Spectrum:
             M=M,
             Minv=Minv,
             clusters=tuple(sorted(clusters)),
-            jordan_blocks=tuple((int(s), int(z)) for s, z in blocks),
+            jordan_blocks=tuple(blocks),
             cond_M=cond,
         )
 

@@ -285,7 +285,12 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that ``(d+ + d-) / 2h`` does
     not cancel; quadrature ``[y; x]`` by the semigroup property, ``y <-
     expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x`` with ``Q(d)`` the
-    quadrature of the defining integral over one step.
+    quadrature of the defining integral over one step.  Each path builds
+    one full operator per step value; the other rounding spellings of that
+    step compose it with the same oracle's operator over the exact, near-zero
+    remainder.  A quadrature that misses its tolerance is reported in one
+    ``RuntimeWarning`` per trace, each sample charged with the error
+    estimates of every quadrature it was stepped through.
     """
     times = np.asarray(grid, dtype=float).reshape(-1)
     if len(times) == 0:
@@ -319,11 +324,15 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
 
         error, derror = _stepped(step, np.r_[z, v], readout, times)
         if missed:
-            steps = np.diff(times, prepend=0.0)
-            total = sum(err * np.count_nonzero(steps == d) for d, err in missed.items())
+            # a spelling's samples went through its base's quadrature too
+            uniq, keys, base = _step_groups(times)
+            charge = [missed.get(uniq[b], 0.0)
+                      + (missed.get(d - uniq[b], 0.0) if b != k else 0.0)
+                      for k, (d, b) in enumerate(zip(uniq, base))]
+            total = float(np.bincount(keys, minlength=len(uniq)) @ charge)
             warnings.warn(
                 f"quadrature tolerance not reached on {len(missed)} of "
-                f"{len(np.unique(steps))} distinct steps: the sum over samples "
+                f"{len(uniq)} distinct steps: the sum over samples "
                 f"of their steps' error estimates is {total:.3e} (before "
                 "propagation)", RuntimeWarning)
 
@@ -348,21 +357,47 @@ def _quadrature_step(A0, S, d, missed):
     return Q
 
 
+def _step_groups(times):
+    """The distinct steps of a grid (sorted), each sample's index into them,
+    and each step's group base.  A step at most ``4 ulp(max t)`` above the
+    smallest step of its group is a rounding spelling of that step: grid
+    times ``t0 + k h`` sit within 1 ulp of their real values, so two
+    spellings of one difference sit within 4 ulp."""
+    uniq, idx = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    tol, base = 4.0 * np.spacing(times[-1]), [0]
+    for k in range(1, len(uniq)):
+        base.append(base[-1] if uniq[k] - uniq[base[-1]] <= tol else k)
+    return uniq, idx.tolist(), base
+
+
 def _stepped(step, x0, R, times):
     """Rows of ``R @ x(t)`` on an increasing grid, with ``x(0) = x0`` and
-    ``x(t + d) = step(d) @ x(t)``: one step operator per distinct step
-    (2-23 on CLI grids, one per sample at worst), dropped after its last
-    use, so memory is O(T + n^2) per operator in use.  Rounding accumulates
-    to ~2e-12 of column max in 5e3 steps, 2e-11 in 5e5."""
-    uniq, idx = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    last = {k: i for i, k in enumerate(idx.tolist())}
-    out, cache, x = np.empty((len(times), len(R))), {}, x0
-    for i, k in enumerate(idx.tolist()):
-        P = cache.pop(k) if k in cache else step(uniq[k])
-        if last[k] > i:
-            cache[k] = P
+    ``x(t + d) = step(d) @ x(t)``: one full step operator per step value
+    (2 on the default CLI grids, one per sample at worst).  Every other
+    spelling ``d`` of a value ``b`` (``_step_groups``) steps by ``step(d -
+    b) @ step(b)``, exact by the semigroup property; the remainder ``d -
+    b`` is exact (Sterbenz) and near zero.  An operator is dropped after its
+    last use, a base after its group's last sample, so memory is O(T + n^2)
+    per operator in use.  Rounding accumulates to ~2e-12 of column max in
+    5e3 steps, 2e-11 in 5e5."""
+    uniq, keys, base = _step_groups(times)
+    last, drop = {}, [()] * len(keys)
+    for i, k in enumerate(keys):
+        last[k] = last[base[k]] = i
+    for k, i in last.items():
+        drop[i] += (k,)
+    out, ops, x = np.empty((len(times), len(R))), {}, x0
+    for i, k in enumerate(keys):
+        P = ops.get(k)
+        if P is None:
+            b = base[k]
+            if b not in ops:
+                ops[b] = step(uniq[b])
+            P = ops[k] = ops[b] if b == k else step(uniq[k] - uniq[b]) @ ops[b]
         x = P @ x
         out[i] = R @ x
+        for j in drop[i]:
+            del ops[j]
     return out.T
 
 
@@ -469,14 +504,21 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
     """
     lam = spec.eigenvalues
     n = spec.n
+    rad = 1.0 + float(np.max(np.abs(lam)))
+    tol_dom = 1e-8 * rad
 
     dom_jordan = [b for b in spec.jordan_blocks if b[0] == 0 and b[1] > 1]
     if dom_jordan:
-        return DivergenceClassification(
-            kind="PolynomialJordan",
-            degree=int(dom_jordan[0][1]),
-            sigma=float(max(0.0, -lam[0].real)),
-        )
+        size, sigma = int(dom_jordan[0][1]), float(max(0.0, -lam[0].real))
+        if abs(lam[0].imag) > tol_dom:
+            return DivergenceClassification(
+                kind="Inconclusive", sigma=sigma,
+                diagnostic=f"the dominant Jordan blocks (size {size}) form a complex "
+                           f"pair at {lam[0].real:.6g} +- {abs(lam[0].imag):.6g}i: the "
+                           "error oscillates, and no spike schedule is predicted for "
+                           "a complex Jordan pair (detection still applies)",
+            )
+        return DivergenceClassification(kind="PolynomialJordan", degree=size, sigma=sigma)
     if spec.near_defective and not spec.is_defective:
         return DivergenceClassification(
             kind="Inconclusive",
@@ -501,8 +543,6 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
             diagnostic="all modes pruned",
         )
 
-    rad = 1.0 + float(np.max(np.abs(lam)))
-    tol_dom = 1e-8 * rad
     re_max = max(lam[m].real for m in kept)
     dom = [m for m in kept if lam[m].real >= re_max - tol_dom]
     sigma = float(max(0.0, -re_max))

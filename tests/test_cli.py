@@ -421,6 +421,28 @@ class TestCheckOracles:
         check_oracles(validate_config({"kind": "spring_mass"}), t_samples=20)
         assert len(steps) == len(set(steps)) == 4
 
+    @pytest.mark.parametrize("kind", ["two_qubit", "spring_mass"])
+    def test_one_full_quadrature_per_check(self, kind, monkeypatch):
+        # linspace(0, t_end, 20) spells t_end/19 up to six ways; one full
+        # quadrature runs, every other call is 0 or a remainder of at most
+        # 4 ulp(t_end)
+        import logsens.sensan as sensan
+        steps = []
+        orig = sensan.dderiv_oracle_quadrature
+
+        def counted(A, S, t, **kwargs):
+            steps.append(t)
+            return orig(A, S, t, **kwargs)
+
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
+        cfg = validate_config({"kind": kind})
+        check_oracles(cfg, t_samples=20)
+        tol = 4 * np.spacing(cfg.grid[1])
+        assert len([d for d in steps if d > 1e-9]) == 1
+        assert len([d for d in steps if d <= tol]) == len(steps) - 1
+        assert len(steps) == len(np.unique(np.diff(
+            np.linspace(0.0, cfg.grid[1], 20), prepend=0.0)))
+
     def test_pairs_name_each_maximum(self):
         # fd's O(h^2) truncation sits far above the analytic-vs-blockaug
         # agreement; the per-pair maxima keep the two apart
@@ -442,18 +464,28 @@ class TestCheckOracles:
         assert out["max_rel_deviation"] < 1e-12
 
     def test_one_quadrature_warning_per_check(self, monkeypatch):
+        # linspace(0, 50, 20) spells 50/19 three ways: the full quadrature
+        # of the smallest misses on one panel, the two remainders do not,
+        # and all 19 nonzero steps are charged with the full one's estimate
         import functools
         import warnings
 
         import logsens.sensan as sensan
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", functools.partial(
-            sensan.dderiv_oracle_quadrature, max_panels=1))
+        coarse = functools.partial(sensan.dderiv_oracle_quadrature, max_panels=1)
+        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", coarse)
+        cfg = validate_config({"kind": "rlc"})
+        sys_ = build_system(cfg)[0]
+        steps = np.diff(np.linspace(0.0, 50.0, 20), prepend=0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            check_oracles(validate_config({"kind": "rlc"}), t_samples=20)
+            coarse(sys_.A0, sys_.S, np.min(steps[steps > 0]))
+            achieved = caught.pop().message.achieved
+            check_oracles(cfg, t_samples=20)
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert "quadrature tolerance not reached on 3 of 4 distinct steps" in str(
-            caught[0].message)
+        assert str(caught[0].message) == (
+            f"quadrature tolerance not reached on 1 of 4 distinct steps: the "
+            f"sum over samples of their steps' error estimates is "
+            f"{19 * achieved:.3e} (before propagation)")
 
 
 class TestOneSpectrumPerSystem:
@@ -674,6 +706,27 @@ class TestMainExitCodes:
         })
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["trace", "_csv_blocks"])
+    def test_out_of_memory_is_1(self, where, tmp_path, capsys, monkeypatch):
+        # raised by the trace, or by the CSV writer after its first block
+        import logsens.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        def exhausted_after_header(tr):
+            yield "t,error\n"
+            exhausted()
+
+        monkeypatch.setattr(cli, where, {"trace": exhausted,
+                                         "_csv_blocks": exhausted_after_header}[where])
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "grid": {"t_end": 5.0}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("out of memory: Unable")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_grid_override(self, tmp_path):
         cfg = self.write(tmp_path, {"kind": "spring_mass"})

@@ -255,6 +255,29 @@ class TestDderivJordan:
             dderiv_jordan(spec, np.eye(2), 1.0)
 
 
+class TestFromJordanValidation:
+    """``Spectrum.from_jordan`` refuses a block layout it cannot honour,
+    naming the block, instead of failing later in ``trace``."""
+
+    @pytest.mark.parametrize("eigenvalues, blocks, message", [
+        ([-1.0, -1.0], [(0, 0)], r"\(start 0, size 0\): size must be at least 1"),
+        ([-1.0, -1.0], [(1, 2)], r"\(start 1, size 2\) lies outside indices 0\.\.1"),
+        ([-1.0, -1.0], [(-1, 2)], r"\(start -1, size 2\) lies outside"),
+        ([-1.0, -1.0, -1.0], [(0, 2), (1, 2)], r"\(start 1, size 2\) overlaps"),
+        ([-1.0, -2.0], [(0, 2)], r"\(start 0, size 2\) spans unequal eigenvalues"),
+    ], ids=["size_zero", "past_the_end", "negative_start", "overlap", "unequal"])
+    def test_refused(self, eigenvalues, blocks, message):
+        n = len(eigenvalues)
+        with pytest.raises(ValueError, match=message):
+            Spectrum.from_jordan(eigenvalues, np.eye(n), blocks)
+
+    def test_equal_within_cluster_tol(self):
+        spec = Spectrum.from_jordan([-1.0, -1.0 + 1e-12, -2.0], np.eye(3),
+                                    [(0, 2), (2, 1)])
+        assert spec.jordan_blocks == ((0, 2), (2, 1))
+        assert spec.clusters == ((0, 1), (2,))
+
+
 class TestCrossPathProperties:
     def test_linearity(self):
         rng = np.random.default_rng(13)
