@@ -9,12 +9,12 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure or out of memory, 2 config error (a grid of more than
-``MAX_GRID_ROWS`` samples is one).  Output locations honor
-``LOGSENS_OUT_DIR`` when no explicit out-dir is given.  For a fixed config
-the outputs are byte-identical across runs on one numpy/scipy/BLAS build
-and BLAS thread count: no timestamps, sorted report keys, shortest
-round-trip floats.
+failure or out of memory, 2 config error (so are a non-finite number, a grid
+over ``MAX_GRID_ROWS`` samples, a chain over ``MAX_CHAIN_SITES`` sites).
+Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
+given.  For a fixed config the outputs are byte-identical across runs on
+one numpy/scipy/BLAS build and BLAS thread count: no timestamps, sorted
+report keys, shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
 """
@@ -42,7 +42,6 @@ from .sensan import (
     _modal,
     classify,
     detect_spikes,
-    error_derivative,
     fit_polynomial_degree,
     fit_slope,
     log_sensitivity,
@@ -67,6 +66,10 @@ KINDS = ("spring_mass", "rlc", "two_qubit", "spin_chain", "custom")
 # A trace holds O(rows) memory, so a larger grid, or one whose row count is
 # not finite, is refused as a config error before anything is allocated.
 MAX_GRID_ROWS = 10 ** 7
+
+# Largest spin chain: N^2 Bloch dimensions, so time grows like N^6 and memory
+# like N^4; at 24 sites a default ``run`` takes ~6 s, ``check`` ~30 s / 0.5 GiB.
+MAX_CHAIN_SITES = 24
 
 # Documented grid step for the discretization-dependent fidelity-1.0 rows of
 # the chain trade-off table; |s| diverges at exact transfer, so those rows
@@ -144,6 +147,22 @@ def _want(raw, path, types, default=None, required=False):
             t.__name__ for t in types)
         raise ConfigError(path, f"expected {names}, got {type(raw).__name__}")
     return raw
+
+
+def _refuse_non_finite(raw, path=""):
+    """Refuse NaN, +-Infinity and integers past the float range anywhere in
+    a raw config (``json.load`` accepts them), naming the field."""
+    if isinstance(raw, dict):
+        for key, val in raw.items():
+            _refuse_non_finite(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(raw, list):
+        for i, val in enumerate(raw):
+            _refuse_non_finite(val, f"{path}[{i}]")
+    elif isinstance(raw, float) and not math.isfinite(raw):
+        raise ConfigError(path, f"must be a finite number, got {raw!r}")
+    elif isinstance(raw, int) and abs(raw) > sys.float_info.max:
+        raise ConfigError(path, "must be a finite number, got an integer past "
+                                "the float range")
 
 
 def _reject_unknown(d, allowed, path):
@@ -233,12 +252,9 @@ def _validate_parameters(kind, raw):
             raise ConfigError("parameters.perturbation",
                               "must be one of S1, S2, S3, S4")
         out["perturbation"] = pert
-        out["alpha"] = [float(x) for x in
-                        _vector(p.get("alpha", [1.0, 1.0]), "parameters.alpha", 2)]
-        out["Delta"] = [float(x) for x in
-                        _vector(p.get("Delta", [-0.1, 0.1]), "parameters.Delta", 2)]
-        out["gamma"] = [float(x) for x in
-                        _vector(p.get("gamma", [1.0, 1.0]), "parameters.gamma", 2)]
+        out["alpha"] = _vector(p.get("alpha", [1.0, 1.0]), "parameters.alpha", 2).tolist()
+        out["Delta"] = _vector(p.get("Delta", [-0.1, 0.1]), "parameters.Delta", 2).tolist()
+        out["gamma"] = _vector(p.get("gamma", [1.0, 1.0]), "parameters.gamma", 2).tolist()
         rho0 = p.get("rho0", "ground")
         if rho0 != "ground":
             m = _matrix(rho0, "parameters.rho0", rows=4, cols=4)
@@ -251,6 +267,9 @@ def _validate_parameters(kind, raw):
         N = _want(p.get("N"), "parameters.N", int, 2)
         if N < 2:
             raise ConfigError("parameters.N", "chain needs at least 2 sites")
+        if N > MAX_CHAIN_SITES:
+            raise ConfigError("parameters.N", f"{N} sites exceed the chain bound "
+                                              f"MAX_CHAIN_SITES = {MAX_CHAIN_SITES}")
         out["N"] = N
         out["lambda"] = float(_want(p.get("lambda"), "parameters.lambda",
                                     (int, float), np.pi / 5))
@@ -282,8 +301,7 @@ def _validate_parameters(kind, raw):
         v = _vector(_want(p.get("v"), "parameters.v", list, required=True),
                     "parameters.v", size=n)
         if p.get("b") is not None:
-            _vector(p["b"], "parameters.b", size=n)
-            out["b"] = [float(x) for x in p["b"]]
+            out["b"] = _vector(p["b"], "parameters.b", size=n).tolist()
         out.update(A1=A1.tolist(), S=S.tolist(), c=c.tolist(), v=v.tolist())
         out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0", (int, float),
                                  1.0))
@@ -296,6 +314,7 @@ def validate_config(raw) -> ScenarioConfig:
     """Validate a raw JSON document, filling and echoing all defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
+    _refuse_non_finite(raw)
     _reject_unknown(raw, {"schema_version", "kind", "parameters", "grid",
                           "method", "outputs", "seed"}, "")
     ver = _want(raw.get("schema_version"), "schema_version", int, SCHEMA_VERSION)
@@ -472,16 +491,6 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 # -- analysis ------------------------------------------------------------------
 
-def _usable_methods(sys_: ErrorSystem, methods):
-    """The derivative paths that apply to the system, and why any were
-    skipped: the analytic path refuses a near-defective spectrum."""
-    spec = sys_.spectrum()
-    if not spec.near_defective:
-        return tuple(methods), {}
-    why = f"spectrum is near-defective (cond_M = {spec.cond_M:.2e})"
-    return tuple(m for m in methods if m != "analytic"), {"analytic": why}
-
-
 def _path_deviations(vals: dict) -> dict:
     """Each pair's largest |de/dxi| difference of the paths (``{method:
     values at the sample times}``), over the largest |de/dxi| any path
@@ -494,22 +503,30 @@ def _path_deviations(vals: dict) -> dict:
             for i, a in enumerate(methods) for b in methods[i + 1:]}
 
 
-def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig,
-                       methods=("analytic", "blockaug", "fd")) -> dict:
-    """The paths' de/dxi at five random grid times: each pair's maximum
-    deviation (fd's truncation sits in the fd pairs) and the largest."""
-    rng = np.random.default_rng(cfg.seed)
+def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
+    """Compare the first ``keep`` (default all) applicable paths of
+    ``methods`` (``methods``) by one ``trace`` each over the sorted times
+    ``ts``: each pair's ``_path_deviations`` (``pairs``), their largest
+    (``max_rel_deviation``), and any path left out and why (``skipped``:
+    the analytic path refuses a near-defective spectrum)."""
+    spec, out = sys_.spectrum(), {}
+    if spec.near_defective:
+        out["skipped"] = {"analytic": f"spectrum is near-defective "
+                                      f"(cond_M = {spec.cond_M:.2e})"}
+    used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
+    pairs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in used})
+    return dict(out, methods=used, pairs=pairs, max_rel_deviation=max(pairs.values()))
+
+
+def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig) -> dict:
+    """de/dxi of two paths at five seeded, distinct grid times (a window a
+    few ulps wide draws some twice): analytic vs blockaug, or blockaug vs fd
+    on a near-defective spectrum, the only place fd comes in, since stepped
+    over five distinct steps it costs far more than blockaug."""
     t0, t1, _ = cfg.grid
-    ts = np.sort(rng.uniform(t0, t1, 5)) if t1 > t0 else np.array([t0])
-    methods, skipped = _usable_methods(sys_, methods)
-    # per time: stepping five random times would take five distinct steps
-    pairs = _path_deviations({m: np.array([error_derivative(sys_, float(t), method=m)
-                                           for t in ts]) for m in methods})
-    out = {"methods": methods, "sample_times": ts, "pairs": pairs,
-           "max_rel_deviation": max(pairs.values())}
-    if skipped:
-        out["skipped"] = skipped
-    return out
+    ts = np.unique(np.random.default_rng(cfg.seed).uniform(t0, t1, 5))
+    out = _compare_paths(sys_, ts, ("analytic", "blockaug", "fd"), keep=2)
+    return dict(out, sample_times=ts)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
@@ -574,14 +591,10 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
     path is one ``trace`` over those times."""
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
-    ts = np.linspace(t0, t1, t_samples)
-    methods, skipped = _usable_methods(sys_, DERIVATIVE_METHODS)
-    pairs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in methods})
-    worst = max(pairs.values())
-    out = {"max_rel_deviation": worst, "pairs": pairs,
-           "worst_pair": max(pairs, key=pairs.get) if worst > 0 else None}
-    if skipped:
-        out["skipped"] = skipped
+    out = _compare_paths(sys_, np.linspace(t0, t1, t_samples), DERIVATIVE_METHODS)
+    del out["methods"]
+    pairs = out["pairs"]
+    out["worst_pair"] = max(pairs, key=pairs.get) if out["max_rel_deviation"] > 0 else None
     return out
 
 
@@ -656,23 +669,21 @@ def _load_config(path, grid_override=None, method_override=None):
         raise ConfigError(path, f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON: {e}")
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "config must be a JSON object")
     if grid_override:
         try:
             start, end, step = (float(x) for x in grid_override.split(":"))
         except ValueError:
             raise ConfigError("--grid", "expected start:end:step")
-        raw = dict(raw)
         raw["grid"] = {"t_start": start, "t_end": end, "dt": step}
     if method_override:
-        raw = dict(raw)
         raw["method"] = method_override
     return validate_config(raw)
 
 
 def _default_out_dir(explicit):
-    if explicit:
-        return explicit
-    return os.environ.get("LOGSENS_OUT_DIR", ".")
+    return explicit or os.environ.get("LOGSENS_OUT_DIR", ".")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,12 @@ analytic paths require an eigendecomposition with deterministic ordering,
 provided by ``eig_decompose``; hand-built defective systems supply their
 Jordan data through ``Spectrum.from_jordan``.
 
+The matrix-valued ``dderiv_*`` functions are the reference API, checked
+against each other at single times by the acceptance suite.  Every
+derivative the program evaluates (``run``, ``check``, the report's spot
+check, ``error_derivative``) runs through ``sensan.trace``, which samples
+``c @ D_S(t, A) @ v`` on a grid; it calls only the quadrature, per step.
+
 All functions are pure; no global state is mutated.
 """
 
@@ -160,8 +166,8 @@ class Spectrum:
         # the blocks and simple eigenvalues that equal it
         size, inner = dict(blocks), {i for s, z in blocks for i in range(s + 1, s + z)}
         units = [range(i, i + size.get(i, 1)) for i in range(len(lam)) if i not in inner]
-        clusters = [tuple(k for u in grp for k in units[u]) for grp in _cluster_indices(
-            lam[[u[0] for u in units]], DEFAULT_CLUSTER_TOL)]
+        leads = _cluster_indices(lam[[u[0] for u in units]])
+        clusters = [tuple(k for u in grp for k in units[u]) for grp in leads]
         cond = float(np.linalg.cond(M))
         return cls(
             eigenvalues=lam,
@@ -191,13 +197,13 @@ def _sort_key(lam):
     return (-lam.real, abs(lam.imag), -np.sign(lam.imag))
 
 
-def _cluster_indices(lam, tol):
-    """Union-find grouping of eigenvalues within an absolute tolerance."""
+def _cluster_indices(lam):
+    """Union-find grouping of eigenvalues within ``DEFAULT_CLUSTER_TOL *
+    (1 + max |lam|)`` of each other."""
     n = len(lam)
     if n == 0:
         return []
-    scale = 1.0 + float(np.max(np.abs(lam)))
-    thresh = tol * scale
+    thresh = DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam))))
     parent = list(range(n))
 
     def find(i):
@@ -234,24 +240,23 @@ def _phase_normalize(M):
     return M
 
 
-def eig_decompose(A, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                  eig=None) -> Spectrum:
+def eig_decompose(A) -> Spectrum:
     """Eigendecompose a real square matrix with deterministic ordering.
 
-    ``eig`` passes the ``np.linalg.eig(A)`` pair when the caller already
-    has it, so the solver runs once.  Raises ``np.linalg.LinAlgError`` on
-    solver failure.  A condition number of the eigenvector matrix above 1e12
-    flags the spectrum as near-defective; analytic derivative paths then
-    refuse and defer to the oracles.
+    Eigenvalues within ``DEFAULT_CLUSTER_TOL * (1 + max |lam|)`` of each
+    other share a cluster.  Raises ``np.linalg.LinAlgError`` on solver
+    failure.  A condition number of the eigenvector matrix above 1e12 flags
+    the spectrum as near-defective; analytic derivative paths then refuse
+    and defer to the oracles.
     """
     A = _as_square(A)
-    lam, M = np.linalg.eig(A) if eig is None else eig
+    lam, M = np.linalg.eig(A)
     order = sorted(range(len(lam)), key=lambda i: _sort_key(lam[i]))
     lam = lam[order]
     M = _phase_normalize(M[:, order])
     cond = float(np.linalg.cond(M))
     Minv = np.linalg.inv(M)
-    clusters = _cluster_indices(lam, cluster_tol)
+    clusters = _cluster_indices(lam)
     return Spectrum(
         eigenvalues=lam,
         M=M,

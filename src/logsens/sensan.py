@@ -30,8 +30,6 @@ from .matexp import (
     _fd_step,
     _refuse_imaginary,
     couplings,
-    dderiv_oracle_blockaug,
-    dderiv_oracle_fd,
     dderiv_oracle_quadrature,
     eig_decompose,
 )
@@ -56,11 +54,9 @@ STABILITY_TOL = 1e-9
 # Samples per block of the modal evaluator and the minima scan: their
 # working memory is O(n * _BLOCK) whatever the grid length.
 _BLOCK = 1024
-# Matrix-valued oracles behind the non-analytic derivative methods; the
-# order fixes the pair names of ``logsens check``.
-ORACLES = {"quadrature": dderiv_oracle_quadrature,
-           "blockaug": dderiv_oracle_blockaug, "fd": dderiv_oracle_fd}
-DERIVATIVE_METHODS = ("analytic", *ORACLES)
+# The derivative paths of ``trace``; the order fixes the pair names of
+# ``logsens check``.
+DERIVATIVE_METHODS = ("analytic", "quadrature", "blockaug", "fd")
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,14 @@ class ErrorSystem:
         n = A0.shape[0]
         if A0.shape != (n, n) or S.shape != (n, n) or c.size != n or v.size != n:
             raise ValueError("inconsistent dimensions in ErrorSystem")
-        lam, M = np.linalg.eig(A0)
+        spec = eig_decompose(A0)
+        lam = spec.eigenvalues
         rad = 1.0 + float(np.max(np.abs(lam)))
         if np.max(lam.real) > STABILITY_TOL * rad:
             raise ValueError(
                 f"A0 must be marginally stable (max Re eig = {np.max(lam.real):.3e})"
             )
-        object.__setattr__(self, "_eig", (lam, M))
+        object.__setattr__(self, "_spectrum", spec)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "c", c)
@@ -104,13 +101,8 @@ class ErrorSystem:
         return self.A0.shape[0]
 
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition of ``A0``, built on first use from the ``eig``
-        pair the stability check solved for (which it then drops), and kept."""
-        spec = self.__dict__.get("_spectrum")
-        if spec is None:
-            spec = eig_decompose(self.A0, eig=self.__dict__.pop("_eig", None))
-            object.__setattr__(self, "_spectrum", spec)
-        return spec
+        """Eigendecomposition of ``A0``, built once, at construction."""
+        return self._spectrum
 
     def couplings(self, spec: Spectrum, vec=None) -> Couplings:
         """Modal couplings; ``vec`` defaults to v (free response convention)."""
@@ -258,12 +250,8 @@ def error_signal(sys: ErrorSystem, t: float) -> float:
 
 
 def error_derivative(sys: ErrorSystem, t: float, method: str = "analytic") -> float:
-    """d e(t) / d xi at the nominal parameter, by the selected path."""
-    if method == "analytic":
-        return _modal_at(sys, t)[1]
-    if method not in ORACLES:
-        raise ValueError(f"unknown method {method!r}")
-    return float(sys.c @ ORACLES[method](sys.A0, sys.S, t) @ sys.v)
+    """de/dxi at the nominal parameter: a one-sample ``trace`` by ``method``."""
+    return float(trace(sys, [t], method).derror[0])
 
 
 def log_sensitivity(sys: ErrorSystem, t: float) -> float:
@@ -299,7 +287,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     if np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be strictly increasing and nonnegative")
     if method not in DERIVATIVE_METHODS:
-        raise ValueError(f"method must be one of {DERIVATIVE_METHODS}")
+        raise ValueError(f"unknown method {method!r}: must be one of {DERIVATIVE_METHODS}")
 
     c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
     z, Z = np.zeros_like(v), np.zeros_like(A0)
@@ -421,15 +409,10 @@ def _rational_fundamental(freqs, max_den: int = 64, rtol: float = 1e-9):
             return None
         nums.append(frac.numerator)
         dens.append(frac.denominator)
-    L = 1
-    for d in dens:
-        L = L * d // math.gcd(L, d)
+    L = math.lcm(*dens)
     # omega0 = base / L * gcd of the integer multipliers
     mult = [n * (L // d) for n, d in zip(nums, dens)]
-    g = 0
-    for m in mult:
-        g = math.gcd(g, m)
-    return base * g / L
+    return base * math.gcd(*mult) / L
 
 
 def _dominant_pair_timing(z1w1, z2w2, omega):

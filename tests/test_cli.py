@@ -1,6 +1,7 @@
 """Tests for config validation, scenario runs, file outputs and exit codes."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -15,6 +16,7 @@ from logsens.cli import (
     _atomic_write,
     _dumps,
     _json_value,
+    _path_deviations,
     build_system,
     check_oracles,
     main,
@@ -349,29 +351,82 @@ class TestNearDefective:
         assert "cond_M" in capsys.readouterr().err
 
     def test_skipped_only_when_near_defective(self, tmp_path):
+        # on a well-conditioned spectrum the spot check compares the
+        # analytic path with blockaug and skips nothing
         cfg = validate_config({"kind": "spring_mass", "grid": {"t_end": 5.0}})
         assert sorted(check_oracles(cfg, t_samples=3)) == [
             "max_rel_deviation", "pairs", "worst_pair"]
         spot = run_scenario(cfg, str(tmp_path))["oracle_check"]
         assert sorted(spot) == ["max_rel_deviation", "methods", "pairs",
                                 "sample_times"]
-        assert spot["methods"] == ["analytic", "blockaug", "fd"]
+        assert spot["methods"] == ["analytic", "blockaug"]
 
 
 class TestOracleSpotCheck:
     def test_pairs_keep_fd_truncation_apart(self, tmp_path):
-        # the five-time spot check of ``run``: fd's O(h^2) truncation (3.4e-8
-        # here) sets the maximum, analytic vs blockaug agrees to 1.2e-12
+        # the five-time spot check of ``run`` leaves fd out on a
+        # well-conditioned spectrum: its O(h^2) truncation (3.4e-8 here when
+        # it was in) no longer sets the maximum, analytic vs blockaug does
         spot = run_scenario(validate_config({"kind": "two_qubit"}),
                             str(tmp_path))["oracle_check"]
         pairs = spot["pairs"]
-        assert sorted(pairs) == ["analytic_vs_blockaug", "analytic_vs_fd",
-                                 "blockaug_vs_fd"]
-        assert spot["max_rel_deviation"] == max(pairs.values())
-        assert pairs["analytic_vs_blockaug"] <= 1e-11
-        assert max(pairs, key=pairs.get) in ("analytic_vs_fd", "blockaug_vs_fd")
-        assert min(pairs["analytic_vs_fd"], pairs["blockaug_vs_fd"]) > 1e3 * pairs[
-            "analytic_vs_blockaug"]
+        assert spot["methods"] == ["analytic", "blockaug"]
+        assert sorted(pairs) == ["analytic_vs_blockaug"]
+        assert spot["max_rel_deviation"] == pairs["analytic_vs_blockaug"] <= 1e-11
+
+
+# A stable custom system (eigenvalues -1 +- 2i).
+CUSTOM = {"A1": [[0.0, 1.0], [-4.0, -2.0]], "S": [[0.0, 0.0], [-1.0, 0.0]],
+          "c": [1.0, 0.0], "v": [1.0, 0.0], "xi0": 1.0}
+
+
+# One config per shipped kind, and the near-defective one on an oracle path.
+SPOT_CHECK_CONFIGS = {
+    "spring_mass": {"kind": "spring_mass"},
+    "rlc": {"kind": "rlc"},
+    "two_qubit": {"kind": "two_qubit"},
+    "spin_chain": {"kind": "spin_chain", "parameters": {"N": 4}},
+    "custom": {"kind": "custom", "parameters": CUSTOM},
+    "near_defective": dict(NEAR_DEFECTIVE, method="blockaug"),
+}
+
+
+class TestSpotCheckThroughTrace:
+    """The report's spot check evaluates every path by one ``trace`` over its
+    sample times; the matrix-valued oracles are never called."""
+
+    @pytest.mark.parametrize("name", sorted(SPOT_CHECK_CONFIGS))
+    def test_pairs_are_trace_deviations(self, name, tmp_path, monkeypatch):
+        import logsens
+        from logsens import cli, classical, matexp, quantum, sensan
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-time oracle call")
+
+        for fn in ("dderiv_oracle_blockaug", "dderiv_oracle_fd"):
+            orig = getattr(matexp, fn)
+            for mod in (logsens, cli, classical, matexp, quantum, sensan):
+                if getattr(mod, fn, None) is orig:
+                    monkeypatch.setattr(mod, fn, refuse)
+        cfg = validate_config(SPOT_CHECK_CONFIGS[name])
+        spot = run_scenario(cfg, str(tmp_path))["oracle_check"]
+        assert spot["methods"] == (["blockaug", "fd"] if name == "near_defective"
+                                   else ["analytic", "blockaug"])
+        ts = np.array(spot["sample_times"])
+        assert len(ts) == 5 and np.all(np.diff(ts) > 0)
+        sys_ = build_system(cfg)[0]
+        assert spot["pairs"] == _path_deviations(
+            {m: trace(sys_, ts, method=m).derror for m in spot["methods"]})
+        assert spot["max_rel_deviation"] == max(spot["pairs"].values())
+
+    def test_coinciding_draws_traced_once(self, tmp_path):
+        # a window 4 ulp wide: the five draws repeat times, and a trace needs
+        # strictly increasing ones
+        ulp = float(np.spacing(1e6))
+        cfg = validate_config({"kind": "spin_chain", "grid": {
+            "t_start": 1e6, "t_end": 1e6 + 4 * ulp, "dt": ulp}})
+        ts = run_scenario(cfg, str(tmp_path))["oracle_check"]["sample_times"]
+        assert 1 <= len(ts) < 5 and np.all(np.diff(ts) > 0)
 
 
 class TestCheckOracles:
@@ -403,7 +458,6 @@ class TestCheckOracles:
     def test_one_quadrature_per_distinct_step(self, monkeypatch):
         # each path is one trace over the sorted sample times: linspace(0,
         # 50, 20) has steps 0 and three roundings of 50/19
-        import logsens.cli as cli
         import logsens.sensan as sensan
         steps = []
         orig = sensan.dderiv_oracle_quadrature
@@ -417,7 +471,6 @@ class TestCheckOracles:
 
         monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
         monkeypatch.setattr(sensan, "error_derivative", refuse)
-        monkeypatch.setattr(cli, "error_derivative", refuse)
         check_oracles(validate_config({"kind": "spring_mass"}), t_samples=20)
         assert len(steps) == len(set(steps)) == 4
 
@@ -697,6 +750,16 @@ class TestMainExitCodes:
         p.write_text("{nope")
         assert main(["run", str(p)]) == 2
 
+    @pytest.mark.parametrize("override", [[], ["--grid", "0:1:0.1"],
+                                          ["--method", "fd"]])
+    def test_non_object_config_is_2(self, tmp_path, capsys, override):
+        # a JSON list is refused before an override is merged into it
+        cfg = self.write(tmp_path, [1, 2])
+        assert main(["run", cfg, "--out-dir", str(tmp_path), *override]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}: config must be a JSON object")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_numerical_failure_is_1(self, tmp_path, capsys):
         # schema-valid but dynamically unstable custom system
         cfg = self.write(tmp_path, {
@@ -802,10 +865,14 @@ class TestGridBudget:
                                       {"dt": float("nan")}, {"t_start": float("nan")},
                                       {"t_end": float("inf")}])
     def test_unallocatable_grids_are_2(self, tmp_path, capsys, grid):
-        # the default budget refuses these before np.arange is reached
+        # refused before np.arange is reached: a non-finite bound or step by
+        # its field, a step too fine by the default budget
         cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": grid})
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: grid: ")
+        bad = [k for k, x in grid.items() if not math.isfinite(x)]
+        assert capsys.readouterr().err.startswith(
+            f"config error: grid.{bad[0]}: must be a finite number" if bad
+            else "config error: grid: ")
 
     def test_check_samples_over_budget_is_2(self, tmp_path, monkeypatch, capsys):
         import logsens.cli as cli
@@ -818,3 +885,84 @@ class TestGridBudget:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --samples: ")
         assert "MAX_GRID_ROWS = 1e+02" in captured.err and captured.out == ""
+
+
+# A non-finite number in each kind of field, keyed by the field's path.
+NON_FINITE = {
+    "parameters.v[0]": {"kind": "custom", "parameters": dict(CUSTOM, v=[math.inf, 0.0])},
+    "parameters.A1[1][0]": {"kind": "custom", "parameters": dict(
+        CUSTOM, A1=[[0.0, 1.0], [-math.inf, -2.0]])},
+    "parameters.xi0": {"kind": "spring_mass", "parameters": {"xi0": math.nan}},
+    "parameters.fit_window[0]": {"kind": "spring_mass",
+                                 "parameters": {"fit_window": [math.nan, 50.0]}},
+    "parameters.poles[0][1]": {"kind": "rlc", "parameters": {
+        "poles": [[-2.0, math.nan], [-2.0, -0.3]]}},
+    "parameters.rho0[2][3]": {"kind": "two_qubit", "parameters": {"rho0": [
+        [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -math.inf], [0.0, 0.0, 0.0, 0.0]]}},
+    "parameters.lambda": {"kind": "spin_chain", "parameters": {"lambda": math.inf}},
+    "grid.t_start": {"kind": "spring_mass", "grid": {"t_start": math.nan}},
+    "parameters.Delta[1]": {"kind": "two_qubit",
+                            "parameters": {"Delta": [-0.1, 10 ** 400]}},
+}
+
+
+class TestNonFiniteNumbers:
+    """``json.load`` reads NaN, Infinity and integers past the float range;
+    the config refuses each before anything is built, naming its field."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_refused_by_field(self, field, tmp_path, capsys):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(NON_FINITE[field])
+        assert exc.value.path == field
+        cfg = self.write(tmp_path, NON_FINITE[field])
+        for argv in (["run", cfg, "--out-dir", str(tmp_path)], ["check", cfg]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {field}: must be a finite number")
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_grid_override(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["run", cfg, "--out-dir", str(tmp_path), "--grid", "0:inf:0.1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: grid.t_end: must be a finite number, got inf")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+class TestChainBound:
+    """Spin chains are bounded by ``MAX_CHAIN_SITES``; refusals build
+    nothing, so a huge ``N`` is safe to ask for here."""
+
+    write = TestMainExitCodes.write
+
+    def test_bound_refused_in_config(self):
+        from logsens.cli import MAX_CHAIN_SITES
+        raw = {"kind": "spin_chain", "parameters": {"N": MAX_CHAIN_SITES}}
+        assert validate_config(raw).parameters["N"] == MAX_CHAIN_SITES
+        for N in (MAX_CHAIN_SITES + 1, 100000):
+            with pytest.raises(ConfigError, match=f"MAX_CHAIN_SITES = {MAX_CHAIN_SITES}") as exc:
+                validate_config({"kind": "spin_chain", "parameters": {"N": N}})
+            assert exc.value.path == "parameters.N"
+
+    def test_over_bound_is_2(self, tmp_path, monkeypatch, capsys):
+        import logsens.cli as cli
+        monkeypatch.setattr(cli, "MAX_CHAIN_SITES", 3)
+        ok = self.write(tmp_path, {"kind": "spin_chain", "parameters": {"N": 3},
+                                   "grid": {"t_end": 1.0}}, "ok.json")
+        assert main(["run", ok, "--out-dir", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        for N in (4, 100000):
+            cfg = self.write(tmp_path, {"kind": "spin_chain", "parameters": {"N": N}})
+            for argv in (["run", cfg, "--out-dir", str(tmp_path / "out")], ["check", cfg]):
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert captured.err.startswith(
+                    f"config error: parameters.N: {N} sites exceed the chain bound "
+                    "MAX_CHAIN_SITES = 3")
+                assert captured.out == ""
+        assert not (tmp_path / "out").exists()

@@ -24,7 +24,6 @@ from logsens.quantum import spin_chain_scenario
 from logsens.sensan import (
     _BLOCK,
     DERIVATIVE_METHODS,
-    ORACLES,
     DivergenceClassification,
     ErrorSystem,
     SensitivityTrace,
@@ -103,13 +102,33 @@ class TestErrorSignal:
 
 class TestErrorDerivative:
     def test_one_list_of_methods(self):
-        # the order fixes the pair names that `logsens check` prints
+        # the order fixes the pair names that `logsens check` prints; trace
+        # and error_derivative accept exactly these methods
         assert DERIVATIVE_METHODS == ("analytic", "quadrature", "blockaug", "fd")
-        assert tuple(ORACLES) == DERIVATIVE_METHODS[1:]
+        sys = spring_system()
+        for method in DERIVATIVE_METHODS:
+            assert np.isfinite(trace(sys, [1.0], method).derror[0])
+            assert np.isfinite(error_derivative(sys, 1.0, method=method))
+        with pytest.raises(ValueError, match="unknown method 'oracle'"):
+            trace(sys, [1.0], method="oracle")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             error_derivative(spring_system(), 1.0, method="magic")
+
+    @pytest.mark.parametrize("method", DERIVATIVE_METHODS)
+    def test_one_sample_trace(self, method):
+        # error_derivative is trace's value, bit for bit, for every path
+        sys, _ = cli_system("two_qubit")
+        for t in (0.0, 3.0, 30.5):
+            assert error_derivative(sys, t, method) == trace(sys, [t], method).derror[0]
+
+    def test_fd_without_cancellation(self):
+        # fd through trace is the stepped deviation form, 6.6e-10 of |de/dxi|
+        # from blockaug here; subtracting two full exponentials read 7.9e-9
+        sys, _ = cli_system("two_qubit")
+        ref = error_derivative(sys, 3.0, "blockaug")
+        assert abs(error_derivative(sys, 3.0, "fd") - ref) <= 1e-9 * abs(ref)
 
 
 class TestLogSensitivity:
@@ -761,10 +780,12 @@ class TestOracleTraces:
                           (sensan, "eig_decompose")):
             monkeypatch.setattr(mod, name, refuse)
         grid = np.linspace(0.0, 10.0, 21)
-        for method in ORACLES:
+        for method, oracle in (("quadrature", dderiv_oracle_quadrature),
+                               ("blockaug", dderiv_oracle_blockaug),
+                               ("fd", dderiv_oracle_fd)):
             trace(sys, grid, method=method)
             error_derivative(sys, 3.0, method=method)
-            ORACLES[method](sys.A0, sys.S, 3.0)
+            oracle(sys.A0, sys.S, 3.0)
 
 
 class TestScaleAndSimilarity:
