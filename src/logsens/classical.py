@@ -119,9 +119,7 @@ def place_poles(A, b, poles) -> np.ndarray:
     phiA = np.zeros_like(A)
     for i, a in enumerate(coeffs):
         phiA += a * np.linalg.matrix_power(A, n - i)
-    en = np.zeros(n)
-    en[-1] = 1.0
-    k = en @ np.linalg.solve(C, phiA)
+    k = np.linalg.solve(C, phiA)[-1]  # e_n^T C^{-1} phi(A)
     achieved = np.sort_complex(np.linalg.eigvals(A - np.outer(b, k)))
     target = np.sort_complex(poles)
     scale = 1.0 + np.max(np.abs(target))

@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
 failure or out of memory, 2 config error (so are a non-finite number, a grid
-over ``MAX_GRID_ROWS`` samples, a chain over ``MAX_CHAIN_SITES`` sites).
+over ``MAX_GRID_ROWS`` samples or with merging times, a chain over
+``MAX_CHAIN_SITES`` sites).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/scipy/BLAS build and BLAS thread count: no timestamps, sorted
@@ -66,6 +67,13 @@ KINDS = ("spring_mass", "rlc", "two_qubit", "spin_chain", "custom")
 # A trace holds O(rows) memory, so a larger grid, or one whose row count is
 # not finite, is refused as a config error before anything is allocated.
 MAX_GRID_ROWS = 10 ** 7
+
+# Smallest step, in ulp(t_end), of a grid (or ``check --samples``) reaching
+# below its end's binade.  Times ``t0 + fl(k h)`` (``np.linspace`` too) sit
+# within 2e-9 h of ``t0 + k h`` under the row budget, where doubles are at
+# most 2 ulp(t_end) apart, so 3 ulp never rounds two into one.  Inside one
+# binade 1 ulp does: every time is a multiple of it, and a tie needs 1e7 rows.
+MIN_STEP_ULPS = 3
 
 # Largest spin chain: N^2 Bloch dimensions, so time grows like N^6 and memory
 # like N^4; at 24 sites a default ``run`` takes ~6 s, ``check`` ~30 s / 0.5 GiB.
@@ -339,6 +347,7 @@ def validate_config(raw) -> ScenarioConfig:
     if not rows <= MAX_GRID_ROWS:  # also refuses inf and nan
         raise ConfigError("grid", f"{rows:.3g} rows exceed the row budget "
                                   f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}")
+    _refuse_merging_step("grid.dt", dt, t_start, t_end)
     method = _want(raw.get("method"), "method", str, "analytic")
     if method not in DERIVATIVE_METHODS:
         raise ConfigError("method", f"must be one of {DERIVATIVE_METHODS}")
@@ -354,6 +363,14 @@ def validate_config(raw) -> ScenarioConfig:
     return ScenarioConfig(kind=kind, parameters=params,
                           grid=(t_start, t_end, dt), method=method,
                           outputs=outputs, seed=seed)
+
+
+def _refuse_merging_step(path, step, t_start, t_end):
+    """Refuse a grid step too small for its times to strictly increase."""
+    ulps = 1 if np.spacing(t_start) == np.spacing(t_end) else MIN_STEP_ULPS
+    if step < ulps * np.spacing(t_end):
+        raise ConfigError(path, f"step {step!r} is below {ulps} ulp of the grid's "
+                                f"end {t_end!r}, so its times cannot strictly increase")
 
 
 # -- scenario assembly ---------------------------------------------------------
@@ -601,13 +618,11 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
 # -- chain trade-off table -----------------------------------------------------
 
 def _chain_for_table(chain: str):
-    if chain == "n2":
-        _, sys_ = spin_chain_scenario(2, perturbed_coupling=1)
-    elif chain == "n3":
-        _, sys_ = spin_chain_scenario(3, perturbed_coupling=2)
-    else:
+    """The N = 2 or 3 chain of ``chain``, its last coupling perturbed."""
+    if chain not in ("n2", "n3"):
         raise ValueError("chain must be 'n2' or 'n3'")
-    return sys_
+    N = int(chain[1])
+    return spin_chain_scenario(N, perturbed_coupling=N - 1)[1]
 
 
 def table1_repro(chain: str, fidelity_targets=None) -> list:
@@ -725,6 +740,9 @@ def main(argv=None) -> int:
                 raise ConfigError("--samples", f"need 1 to the row budget "
                                   f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}, got {args.samples}")
             cfg = _load_config(args.config, args.grid)
+            t0, t1, _ = cfg.grid
+            if args.samples > 1:
+                _refuse_merging_step("--samples", (t1 - t0) / (args.samples - 1), t0, t1)
             print(_dumps(_json_value(check_oracles(cfg, args.samples))))
             return 0
         if args.command == "table1":

@@ -19,10 +19,10 @@ provided by ``eig_decompose``; hand-built defective systems supply their
 Jordan data through ``Spectrum.from_jordan``.
 
 The matrix-valued ``dderiv_*`` functions are the reference API, checked
-against each other at single times by the acceptance suite.  Every
-derivative the program evaluates (``run``, ``check``, the report's spot
-check, ``error_derivative``) runs through ``sensan.trace``, which samples
-``c @ D_S(t, A) @ v`` on a grid; it calls only the quadrature, per step.
+against each other at single times by the acceptance suite.  Every value
+the program evaluates runs through ``sensan.trace``, which samples ``c @
+D_S(t, A) @ v`` on a grid; it calls only the quadrature, per step, as
+``_quadrature``, which returns a missed tolerance instead of warning it.
 
 All functions are pure; no global state is mutated.
 """
@@ -61,6 +61,17 @@ def _as_square(A, name="A"):
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def _oracle_input(A, S, t):
+    """An oracle's ``(A, S)``: finite square matrices of one shape, t >= 0."""
+    A = _as_square(A)
+    S = _as_square(S, "S")
+    if A.shape != S.shape:
+        raise ValueError("A and S must have matching shapes")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return A, S
 
 
 def _refuse_imaginary(resid, absmax, tol, context):
@@ -120,11 +131,9 @@ class Spectrum:
         return lam
 
     def same_cluster_mask(self) -> np.ndarray:
-        n = self.n
-        mask = np.eye(n, dtype=bool)
+        mask = np.eye(self.n, dtype=bool)
         for grp in self.clusters:
-            idx = list(grp)
-            mask[np.ix_(idx, idx)] = True
+            mask[np.ix_(grp, grp)] = True
         return mask
 
     @classmethod
@@ -262,7 +271,6 @@ def eig_decompose(A) -> Spectrum:
         M=M,
         Minv=Minv,
         clusters=tuple(clusters),
-        jordan_blocks=(),
         cond_M=cond,
     )
 
@@ -419,15 +427,19 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
     ``tau = a + h (1 + x)`` splits ``exp(tau A) = exp(a A) exp(h (1 + x) A)``
     (and ``t - tau`` alike from b): offsets are exponentiated once per depth.
     """
-    A = _as_square(A)
-    S = _as_square(S, "S")
-    if A.shape != S.shape:
-        raise ValueError("A and S must have matching shapes")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    A, S = _oracle_input(A, S, t)
+    Q, miss = _quadrature(A, S, t, abs_tol, max_panels)
+    if miss is not None:
+        warnings.warn(miss)
+    return Q
+
+
+def _quadrature(A, S, t, abs_tol=1e-10, max_panels=2 ** 16):
+    """``dderiv_oracle_quadrature`` on checked input, as ``(Q, miss)``:
+    ``miss`` is the ``QuadratureWarning`` it warns, or None."""
     n = A.shape[0]
     if t == 0.0 or not np.any(S):
-        return np.zeros((n, n))
+        return np.zeros((n, n)), None
 
     eps = np.finfo(float).eps
     inner = {}  # depth -> exp(h (1 - x_j) A) @ S @ exp(h (1 + x_j) A)
@@ -459,11 +471,11 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
             stack.append((2 * i + 1, depth + 1))
             stack.append((2 * i, depth + 1))
     if not tol_met or achieved > abs_tol:
-        warnings.warn(QuadratureWarning(
+        return total, QuadratureWarning(
             f"quadrature tolerance {abs_tol:.1e} not reached "
             f"({panels_used} panels): achieved error estimate {achieved:.3e}",
-            achieved))
-    return total
+            achieved)
+    return total, None
 
 
 def dderiv_oracle_blockaug(A, S, t: float) -> np.ndarray:
@@ -472,17 +484,9 @@ def dderiv_oracle_blockaug(A, S, t: float) -> np.ndarray:
     The upper-right block of ``expm(t*[[A, S], [0, A]])`` equals the defining
     integral; scipy's scaling-and-squaring expm does the work.
     """
-    A = _as_square(A)
-    S = _as_square(S, "S")
-    if A.shape != S.shape:
-        raise ValueError("A and S must have matching shapes")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    A, S = _oracle_input(A, S, t)
     n = A.shape[0]
-    C = np.zeros((2 * n, 2 * n))
-    C[:n, :n] = A
-    C[n:, n:] = A
-    C[:n, n:] = S
+    C = np.block([[A, S], [np.zeros_like(A), A]])
     return expm(t * C)[:n, n:]
 
 
@@ -493,10 +497,7 @@ def _fd_step(S) -> float:
 
 def dderiv_oracle_fd(A, S, t: float, h: float | None = None) -> np.ndarray:
     """Central finite-difference cross-check of D_S(t, A)."""
-    A = _as_square(A)
-    S = _as_square(S, "S")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    A, S = _oracle_input(A, S, t)
     if h is None:
         h = _fd_step(S)
     return (expm(t * (A + h * S)) - expm(t * (A - h * S))) / (2.0 * h)

@@ -275,17 +275,11 @@ def spin_chain_scenario(N: int, lam: float = np.pi / 5,
         H[i, i + 1] = H[i + 1, i] = j
     basis = gellmann_basis(N)
     A = bloch_coherent(H, basis)
-    k = perturbed_coupling - 1
-    Sk = np.zeros((N, N), dtype=complex)
-    Sk[k, k + 1] = Sk[k + 1, k] = 1.0
-    Sb = bloch_coherent(Sk, basis)
-    rho_in = np.zeros((N, N), dtype=complex)
-    rho_in[excitation_site - 1, excitation_site - 1] = 1.0
-    rho_out = np.zeros((N, N), dtype=complex)
-    rho_out[N - 1, N - 1] = 1.0
-    r0 = bloch_state(rho_in, basis)
-    r_out = bloch_state(rho_out, basis)
+    k = perturbed_coupling
+    Sb = bloch_coherent(_delta(k, k + 1, N) + _delta(k + 1, k, N), basis)
+    r0 = bloch_state(_delta(excitation_site, excitation_site, N), basis)
+    r_out = bloch_state(_delta(N, N, N), basis)
     c = overlap_readout(r_out, N)
     model = BlochModel(basis=basis, A=A, L=np.zeros_like(A), r0=r0, r_ss=None,
-                       c=c, Sb=Sb, xi0=float(J[k]))
+                       c=c, Sb=Sb, xi0=float(J[k - 1]))
     return model, model.error_system()

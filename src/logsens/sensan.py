@@ -25,12 +25,11 @@ from scipy.linalg import expm
 
 from .matexp import (
     Couplings,
-    QuadratureWarning,
     Spectrum,
     _fd_step,
+    _quadrature,
     _refuse_imaginary,
     couplings,
-    dderiv_oracle_quadrature,
     eig_decompose,
 )
 
@@ -51,6 +50,12 @@ __all__ = [
 
 SPIKE_FLOOR_REL = 1e-12
 STABILITY_TOL = 1e-9
+PRUNE_TOL = 1e-10  # classify: negligible modal weight, relative
+SPIKE_DIP_FRAC = 0.05  # detect_spikes: a dip of |e| against its local scale
+SPIKE_PROMINENCE_DECADES = 0.5  # detect_spikes: a spike over its neighbours
+_FUNDAMENTAL_MAX_DEN = 64  # _rational_fundamental: frequency ratios
+_FUNDAMENTAL_RTOL = 1e-9
+_MINIMA_SAMPLES = 8192  # _numeric_minima_timing: samples per period
 # Samples per block of the modal evaluator and the minima scan: their
 # working memory is O(n * _BLOCK) whatever the grid length.
 _BLOCK = 1024
@@ -65,7 +70,8 @@ class ErrorSystem:
 
     ``v`` already folds any reference gain (tracking: v = -k0*beta) or is the
     initial state (free response).  ``xi0`` is the nominal parameter value.
-    All eigenvalues of ``A0`` must satisfy Re <= 0 (marginal stability).
+    ``A0``, ``S``, ``c`` and ``v`` must be finite, and all eigenvalues of
+    ``A0`` must satisfy Re <= 0 (marginal stability).
     """
 
     A0: np.ndarray
@@ -82,6 +88,9 @@ class ErrorSystem:
         n = A0.shape[0]
         if A0.shape != (n, n) or S.shape != (n, n) or c.size != n or v.size != n:
             raise ValueError("inconsistent dimensions in ErrorSystem")
+        for name, x in (("S", S), ("c", c), ("v", v)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} contains non-finite entries")
         spec = eig_decompose(A0)
         lam = spec.eigenvalues
         rad = 1.0 + float(np.max(np.abs(lam)))
@@ -104,9 +113,9 @@ class ErrorSystem:
         """Eigendecomposition of ``A0``, built once, at construction."""
         return self._spectrum
 
-    def couplings(self, spec: Spectrum, vec=None) -> Couplings:
-        """Modal couplings; ``vec`` defaults to v (free response convention)."""
-        return couplings(spec, self.S, self.c, self.v if vec is None else vec)
+    def couplings(self, spec: Spectrum) -> Couplings:
+        """Modal couplings of ``c`` and ``v`` (free response convention)."""
+        return couplings(spec, self.S, self.c, self.v)
 
 
 @dataclass(frozen=True)
@@ -236,17 +245,9 @@ def _horner(C, E, tb):
     return X
 
 
-def _modal_at(sys: ErrorSystem, t: float):
-    """(e, de/dxi) at one time from the system's own spectrum."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    e, de = _modal(sys, sys.spectrum(), np.array([float(t)]))
-    return float(e[0]), float(de[0])
-
-
 def error_signal(sys: ErrorSystem, t: float) -> float:
-    """Error at a single time via the spectral path."""
-    return _modal_at(sys, t)[0]
+    """Error at a single time: a one-sample analytic ``trace``."""
+    return float(trace(sys, [t]).error[0])
 
 
 def error_derivative(sys: ErrorSystem, t: float, method: str = "analytic") -> float:
@@ -255,28 +256,29 @@ def error_derivative(sys: ErrorSystem, t: float, method: str = "analytic") -> fl
 
 
 def log_sensitivity(sys: ErrorSystem, t: float) -> float:
-    """xi0 * (de/dxi) / e at time t; non-finite near zeros of e."""
-    e, de = _modal_at(sys, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(sys.xi0 * de / e)
+    """xi0 * (de/dxi) / e at time t: a one-sample analytic ``trace``, so
+    NaN where e is zero."""
+    return float(trace(sys, [t]).logsens[0])
 
 
 def trace(sys: ErrorSystem, grid, method: str = "analytic",
           spectrum: Spectrum | None = None) -> SensitivityTrace:
     """Sample e, de/dxi and s(xi0, t) on a time grid.
 
-    ``method`` selects the derivative path.  The analytic path is one
-    ``_modal`` call on the system's spectrum, or on ``spectrum`` when given:
-    a ``Spectrum.from_jordan`` result, any block layout, drives it on a
-    known-defective generator.  Oracle methods step a state (``_stepped``),
-    never eigendecomposing: blockaug ``[[A0, S], [0, A0]]`` on ``[0; v]``;
-    fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that ``(d+ + d-) / 2h`` does
-    not cancel; quadrature ``[y; x]`` by the semigroup property, ``y <-
-    expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x`` with ``Q(d)`` the
-    quadrature of the defining integral over one step.  Each path builds
-    one full operator per step value; the other rounding spellings of that
-    step compose it with the same oracle's operator over the exact, near-zero
-    remainder.  A quadrature that misses its tolerance is reported in one
+    ``error_signal``, ``error_derivative`` and ``log_sensitivity`` are
+    one-sample traces.  ``method`` selects the derivative path.  The analytic
+    path is one ``_modal`` call on the system's spectrum, or on ``spectrum``
+    when given: a ``Spectrum.from_jordan`` result, any block layout, drives
+    it on a known-defective generator.  Oracle methods step a state
+    (``_stepped``), never eigendecomposing: blockaug ``[[A0, S], [0, A0]]``
+    on ``[0; v]``; fd ``A0 +- hS`` as ``y+- = y0 +- d+-`` so that ``(d+ +
+    d-) / 2h`` does not cancel; quadrature ``[y; x]`` by the semigroup
+    property, ``y <- expm(d A0) y + Q(d) x``, ``x <- expm(d A0) x`` with
+    ``Q(d)`` the quadrature of the defining integral over one step
+    (``_quadrature``).  Each path builds one full operator per step value;
+    the other rounding spellings of that step compose it with the same
+    oracle's operator over the exact, near-zero remainder.  ``_quadrature``
+    returns a missed tolerance as a value; the misses are reported in one
     ``RuntimeWarning`` per trace, each sample charged with the error
     estimates of every quadrature it was stepped through.
     """
@@ -289,12 +291,13 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     if method not in DERIVATIVE_METHODS:
         raise ValueError(f"unknown method {method!r}: must be one of {DERIVATIVE_METHODS}")
 
-    c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
-    z, Z = np.zeros_like(v), np.zeros_like(A0)
-    readout = np.block([[z, c], [c, z]])  # e from the lower half, de/dxi upper
     if method == "analytic":
         error, derror = _modal(sys, spectrum or sys.spectrum(), times)
-    elif method == "blockaug":
+    else:
+        c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
+        z, Z = np.zeros_like(v), np.zeros_like(A0)
+        readout = np.block([[z, c], [c, z]])  # e from the lower half, de/dxi upper
+    if method == "blockaug":
         G = np.block([[A0, S], [Z, A0]])
         error, derror = _stepped(lambda d: expm(d * G), np.r_[z, v], readout, times)
     elif method == "fd":
@@ -303,12 +306,15 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
         error, diff = _stepped(lambda d: expm(d * G), np.r_[z, z, v],
                                np.block([[z, z, c], [c, c, z]]), times)
         derror = diff / (2.0 * h)
-    else:
+    elif method == "quadrature":
         missed = {}
 
         def step(d):
+            Q, miss = _quadrature(A0, S, d)
+            if miss is not None:
+                missed[d] = miss.achieved
             P = expm(d * A0)
-            return np.block([[P, _quadrature_step(A0, S, d, missed)], [Z, P]])
+            return np.block([[P, Q], [Z, P]])
 
         error, derror = _stepped(step, np.r_[z, v], readout, times)
         if missed:
@@ -329,20 +335,6 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     logsens = np.full(len(times), np.nan)
     np.divide(sys.xi0 * derror, error, out=logsens, where=~mask)
     return SensitivityTrace(times, error, derror, logsens, mask)
-
-
-def _quadrature_step(A0, S, d, missed):
-    """``dderiv_oracle_quadrature`` over one step; a missed tolerance is
-    recorded in ``missed[d]`` (its error estimate) instead of warned."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureWarning)
-        Q = dderiv_oracle_quadrature(A0, S, d)
-    for w in caught:
-        if isinstance(w.message, QuadratureWarning):
-            missed[d] = w.message.achieved
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return Q
 
 
 def _step_groups(times):
@@ -389,29 +381,27 @@ def _stepped(step, x0, R, times):
     return out.T
 
 
-def _rational_fundamental(freqs, max_den: int = 64, rtol: float = 1e-9):
+def _rational_fundamental(freqs):
     """Fundamental omega0 with every frequency an integer multiple, or None.
 
     Each ratio to the smallest frequency is replaced by a continued-fraction
-    rational approximation with denominator <= max_den; incommensurate sets
-    (no approximation within rtol) return None.
+    rational approximation with denominator <= ``_FUNDAMENTAL_MAX_DEN``;
+    incommensurate sets (no approximation within ``_FUNDAMENTAL_RTOL``)
+    return None.
     """
-    freqs = sorted(freqs)
-    base = freqs[0]
     from fractions import Fraction
 
-    dens = []
-    nums = []
+    base = min(freqs)
+    fracs = []
     for f in freqs:
         r = f / base
-        frac = Fraction(r).limit_denominator(max_den)
-        if frac.numerator == 0 or abs(float(frac) - r) > rtol * r:
+        frac = Fraction(r).limit_denominator(_FUNDAMENTAL_MAX_DEN)
+        if frac.numerator == 0 or abs(float(frac) - r) > _FUNDAMENTAL_RTOL * r:
             return None
-        nums.append(frac.numerator)
-        dens.append(frac.denominator)
-    L = math.lcm(*dens)
+        fracs.append(frac)
+    L = math.lcm(*(f.denominator for f in fracs))
     # omega0 = base / L * gcd of the integer multipliers
-    mult = [n * (L // d) for n, d in zip(nums, dens)]
+    mult = [f.numerator * (L // f.denominator) for f in fracs]
     return base * math.gcd(*mult) / L
 
 
@@ -433,7 +423,7 @@ def _dominant_pair_timing(z1w1, z2w2, omega):
     return t0, np.pi / omega, phi01, P
 
 
-def _numeric_minima_timing(zw, omegas, omega0, samples: int = 8192):
+def _numeric_minima_timing(zw, omegas, omega0):
     """Recurring deepest minima of |sum zw_m exp(i*omega_m*t)| over one period.
 
     Used when zero-frequency modes or several commensurate pairs share the
@@ -444,9 +434,9 @@ def _numeric_minima_timing(zw, omegas, omega0, samples: int = 8192):
     evenly.
     """
     T = 2 * np.pi / omega0
-    ts = np.linspace(0.0, T, samples, endpoint=False)
-    h = np.empty(samples)
-    for lo in range(0, samples, _BLOCK):
+    ts = np.linspace(0.0, T, _MINIMA_SAMPLES, endpoint=False)
+    h = np.empty(_MINIMA_SAMPLES)
+    for lo in range(0, _MINIMA_SAMPLES, _BLOCK):
         tb = ts[lo:lo + _BLOCK]
         h[lo:lo + _BLOCK] = np.abs(
             np.sum(zw[:, None] * np.exp(1j * np.outer(omegas, tb)), axis=0))
@@ -462,10 +452,10 @@ def _numeric_minima_timing(zw, omegas, omega0, samples: int = 8192):
     # parabolic refinement of each kept minimum
     times = []
     for i in keep:
-        y0, y1, y2 = h[(i - 1) % samples], h[i], h[(i + 1) % samples]
+        y0, y1, y2 = h[(i - 1) % _MINIMA_SAMPLES], h[i], h[(i + 1) % _MINIMA_SAMPLES]
         denom = y0 - 2 * y1 + y2
         shift = 0.5 * (y0 - y2) / denom if abs(denom) > 0 else 0.0
-        times.append((ts[i] + shift * (T / samples)) % T)
+        times.append((ts[i] + shift * (T / _MINIMA_SAMPLES)) % T)
     times = np.sort(np.array(times))
     if len(times) > 1:
         gaps = np.diff(np.concatenate([times, [times[0] + T]]))
@@ -476,8 +466,7 @@ def _numeric_minima_timing(zw, omegas, omega0, samples: int = 8192):
     return t0, spacing
 
 
-def classify(spec: Spectrum, coup: Couplings, xi0: float,
-             prune_tol: float = 1e-10) -> DivergenceClassification:
+def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassification:
     """Predict the divergence mode of the log-sensitivity from modal data.
 
     Modes whose structure couplings all vanish, or whose z_m*w_m product is
@@ -517,7 +506,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
     pruned = []
     for m in range(n):
         coupling_m = max(absS[m, :].max(), absS[:, m].max())
-        if abs(zw[m]) <= prune_tol * zw_scale or coupling_m <= prune_tol * s_scale:
+        if abs(zw[m]) <= PRUNE_TOL * zw_scale or coupling_m <= PRUNE_TOL * s_scale:
             pruned.append(m)
     kept = [m for m in range(n) if m not in pruned]
     if not kept:
@@ -535,7 +524,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
     # denominator even when their structure couplings vanish.  One strictly
     # above the kept dominant axis means the error outlives the numerator
     # growth and the log-sensitivity can stay bounded.
-    zw_active = [m for m in range(n) if abs(zw[m]) > prune_tol * zw_scale]
+    zw_active = [m for m in range(n) if abs(zw[m]) > PRUNE_TOL * zw_scale]
     if any(lam[m].real > re_max + tol_dom for m in zw_active):
         return DivergenceClassification(
             kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
@@ -570,7 +559,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float,
             b0 += zw[m_i]
             for n_i in dom:
                 a0 += coup.z[m_i] * coup.w[n_i] * coup.Sbar[m_i, n_i]
-        if abs(b0) <= prune_tol * max(zw_scale, 1e-300):
+        if abs(b0) <= PRUNE_TOL * max(zw_scale, 1e-300):
             return DivergenceClassification(
                 kind="Inconclusive", pruned_modes=tuple(pruned),
                 diagnostic="dominant cluster has vanishing denominator weight b0",
@@ -660,16 +649,15 @@ def fit_polynomial_degree(tr: SensitivityTrace, window) -> int:
     return max(0, int(round(slope)))
 
 
-def detect_spikes(tr: SensitivityTrace, prominence_decades: float = 0.5,
-                  error_dip_frac: float = 0.05) -> np.ndarray:
+def detect_spikes(tr: SensitivityTrace) -> np.ndarray:
     """Times of local maxima of |logsens| driven by near-zeros of the error.
 
     Spikes of the log-sensitivity live where the error dips toward zero, so
     candidates come from the error channel: sign changes (a run of flips in
     adjacent intervals is one, at the mean of their times) and tangential
-    local minima of |error| below ``error_dip_frac`` of its local scale.  Each
+    local minima of |error| below ``SPIKE_DIP_FRAC`` of its local scale.  Each
     candidate is then required to tower over the nearby finite |logsens|
-    samples by ``prominence_decades`` (automatically satisfied where the
+    samples by ``SPIKE_PROMINENCE_DECADES`` (automatically satisfied where the
     sample is spike-masked, including exponentially decayed tails where every
     sample sits below the spike floor).  Returned times are interpolated:
     linearly at sign changes, parabolically at tangential minima.
@@ -701,7 +689,7 @@ def detect_spikes(tr: SensitivityTrace, prominence_decades: float = 0.5,
         if j in flip_idx or any(abs(j - k) <= 1 for k, _ in candidates):
             continue
         lo, hi = max(0, j - win), min(n, j + win + 1)
-        if abse[j] > error_dip_frac * np.max(abse[lo:hi]):
+        if abse[j] > SPIKE_DIP_FRAC * np.max(abse[lo:hi]):
             continue
         y0, y1, y2 = abse[j - 1], abse[j], abse[j + 1]
         denom = y0 - 2 * y1 + y2
@@ -722,6 +710,6 @@ def detect_spikes(tr: SensitivityTrace, prominence_decades: float = 0.5,
         base = logs[lo:hi]
         base = base[np.isfinite(base) & (base > 0)]
         baseline = float(np.median(base)) if len(base) else 0.0
-        if baseline <= 0 or np.log10(peak / baseline) >= prominence_decades:
+        if baseline <= 0 or np.log10(peak / baseline) >= SPIKE_PROMINENCE_DECADES:
             out.append(tstar)
     return np.array(out)

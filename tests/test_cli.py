@@ -8,6 +8,8 @@ import tempfile
 import numpy as np
 import pytest
 from conftest import peak_mib
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsens.cli import (
     _CSV_BLOCK,
@@ -460,7 +462,7 @@ class TestCheckOracles:
         # 50, 20) has steps 0 and three roundings of 50/19
         import logsens.sensan as sensan
         steps = []
-        orig = sensan.dderiv_oracle_quadrature
+        orig = sensan._quadrature
 
         def counted(A, S, t, **kwargs):
             steps.append(t)
@@ -469,7 +471,7 @@ class TestCheckOracles:
         def refuse(*args, **kwargs):
             raise AssertionError("per-time derivative in check")
 
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
+        monkeypatch.setattr(sensan, "_quadrature", counted)
         monkeypatch.setattr(sensan, "error_derivative", refuse)
         check_oracles(validate_config({"kind": "spring_mass"}), t_samples=20)
         assert len(steps) == len(set(steps)) == 4
@@ -481,13 +483,13 @@ class TestCheckOracles:
         # 4 ulp(t_end)
         import logsens.sensan as sensan
         steps = []
-        orig = sensan.dderiv_oracle_quadrature
+        orig = sensan._quadrature
 
         def counted(A, S, t, **kwargs):
             steps.append(t)
             return orig(A, S, t, **kwargs)
 
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
+        monkeypatch.setattr(sensan, "_quadrature", counted)
         cfg = validate_config({"kind": kind})
         check_oracles(cfg, t_samples=20)
         tol = 4 * np.spacing(cfg.grid[1])
@@ -524,15 +526,14 @@ class TestCheckOracles:
         import warnings
 
         import logsens.sensan as sensan
-        coarse = functools.partial(sensan.dderiv_oracle_quadrature, max_panels=1)
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", coarse)
+        coarse = functools.partial(sensan._quadrature, max_panels=1)
+        monkeypatch.setattr(sensan, "_quadrature", coarse)
         cfg = validate_config({"kind": "rlc"})
         sys_ = build_system(cfg)[0]
         steps = np.diff(np.linspace(0.0, 50.0, 20), prepend=0.0)
+        achieved = coarse(sys_.A0, sys_.S, np.min(steps[steps > 0]))[1].achieved
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coarse(sys_.A0, sys_.S, np.min(steps[steps > 0]))
-            achieved = caught.pop().message.achieved
             check_oracles(cfg, t_samples=20)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert str(caught[0].message) == (
@@ -966,3 +967,87 @@ class TestChainBound:
                     "MAX_CHAIN_SITES = 3")
                 assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+
+class TestSubUlpSteps:
+    """A grid step, or ``check --samples`` spacing, too small for the times
+    to strictly increase is refused by its field: 1 ulp of the grid's end
+    inside one binade, ``MIN_STEP_ULPS`` ulp across a binade edge."""
+
+    write = TestMainExitCodes.write
+    # ulp of the binade [2^20, 2^21); 2^20 - ULP / 2 is a double below it
+    ULP = float(np.spacing(2.0 ** 20))
+    INSIDE = {"t_start": 2.0 ** 20, "t_end": 2.0 ** 20 + 100 * ULP}
+    ACROSS = {"t_start": 2.0 ** 20 - ULP / 2, "t_end": 2.0 ** 20 + 300 * ULP}
+
+    def test_sub_ulp_grid_and_samples_are_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spin_chain", "grid": {
+            "t_start": 1e6, "t_end": 1000000.000000001, "dt": 1e-10}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: grid.dt: step 1e-10 is below 1 ulp of the grid's end")
+        cfg = self.write(tmp_path, {"kind": "spin_chain", "grid": {
+            "t_start": 1e6, "t_end": 1e6 + 1e-6, "dt": 1e-7}})
+        assert main(["check", cfg, "--samples", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --samples: step ")
+        assert "below 1 ulp" in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", ["INSIDE", "ACROSS"])
+    def test_grid_step_bound(self, tmp_path, capsys, window):
+        from logsens.cli import MIN_STEP_ULPS
+        ulps = MIN_STEP_ULPS if window == "ACROSS" else 1
+        edge, bound = getattr(self, window), ulps * self.ULP
+        times = validate_config({"kind": "rlc", "grid": dict(edge, dt=bound)}).grid_times()
+        assert len(times) > 100 and np.all(np.diff(times) > 0)
+        below = dict(edge, dt=np.nextafter(bound, 0.0))
+        with pytest.raises(ConfigError, match=f"below {ulps} ulp") as exc:
+            validate_config({"kind": "rlc", "grid": below})
+        assert exc.value.path == "grid.dt"
+        cfg = self.write(tmp_path, {"kind": "rlc", "grid": dict(edge, dt=bound)})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "ok")]) == 0
+        cfg = self.write(tmp_path, {"kind": "rlc", "grid": below})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid.dt: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_ulp_merges_across_a_binade_edge(self):
+        # times 2^20 + 1.5 ulp and 2^20 + 2.5 ulp are ties that both round
+        # to the even 2^20 + 2 ulp
+        from logsens.cli import MIN_STEP_ULPS, ScenarioConfig
+        t0, t1 = self.ACROSS["t_start"], 2.0 ** 20 + 3 * self.ULP
+        grid = ScenarioConfig("rlc", {}, (t0, t1, self.ULP), "analytic", {}, 0)
+        assert not np.all(np.diff(grid.grid_times()) > 0)
+        with pytest.raises(ConfigError, match=f"below {MIN_STEP_ULPS} ulp"):
+            validate_config({"kind": "rlc", "grid": {
+                "t_start": t0, "t_end": t1, "dt": self.ULP}})
+
+    def test_samples_bound(self, tmp_path, capsys):
+        # 101 samples space the window 1 ulp apart, 102 just under
+        cfg = self.write(tmp_path, {"kind": "rlc", "grid": dict(self.INSIDE, dt=1e-8)})
+        assert main(["check", cfg, "--samples", "101"]) == 0
+        capsys.readouterr()
+        assert main(["check", cfg, "--samples", "102"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --samples: ")
+        assert captured.out == ""
+
+    @settings(max_examples=200)
+    @given(m=st.integers(-20, 45), start_halves=st.integers(-8, 8),
+           end_ulps=st.integers(5, 64), stretch=st.sampled_from([1.0, 1.25, 1.5]))
+    def test_accepted_grids_increase(self, m, start_halves, end_ulps, stretch):
+        # windows around a binade edge 2^m, starting on the doubles of the
+        # binade below it or on the edge's own: every step the config
+        # accepts makes grid_times and linspace strictly increase
+        from logsens.cli import MIN_STEP_ULPS
+        edge, ulp = 2.0 ** m, float(np.spacing(2.0 ** m))
+        t_start, t_end = edge + start_halves * ulp / 2, edge + end_ulps * ulp
+        ulps = 1 if np.spacing(t_start) == ulp else MIN_STEP_ULPS
+        dt = ulps * ulp * stretch
+        cfg = validate_config({"kind": "rlc", "grid": {
+            "t_start": t_start, "t_end": t_end, "dt": dt}})
+        assert np.all(np.diff(cfg.grid_times()) > 0)
+        rows = int((t_end - t_start) / dt) + 1
+        if rows > 1 and (t_end - t_start) / (rows - 1) >= dt:
+            assert np.all(np.diff(np.linspace(t_start, t_end, rows)) > 0)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from logsens.matexp import (
+    QuadratureWarning,
     Spectrum,
+    _quadrature,
     couplings,
     dderiv_diag,
     dderiv_jordan,
@@ -165,6 +167,22 @@ class TestOracles:
         with pytest.warns(RuntimeWarning):
             dderiv_oracle_quadrature(SPRING_A0, SPRING_S, 5.0, abs_tol=1e-16,
                                      max_panels=2)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"abs_tol": 1e-16, "max_panels": 2}],
+                             ids=["met", "missed"])
+    def test_quadrature_wraps_the_private_one(self, kwargs):
+        # the public oracle returns the private quadrature's array bit for
+        # bit and warns its miss, once, with the same estimate
+        import warnings
+        Q, miss = _quadrature(SPRING_A0, SPRING_S, 5.0, **kwargs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = dderiv_oracle_quadrature(SPRING_A0, SPRING_S, 5.0, **kwargs)
+        np.testing.assert_array_equal(got, Q)
+        assert [w.category for w in caught] == ([QuadratureWarning] if miss else [])
+        if miss is not None:
+            assert caught[0].message.achieved == miss.achieved > 1e-16
+            assert str(caught[0].message) == str(miss)
 
 
 class TestDderivDiag:

@@ -60,6 +60,16 @@ class TestErrorSystem:
             ErrorSystem(A0=SPRING_A0, S=np.zeros((3, 3)), c=[1.0, 0.0],
                         v=[1.0, 0.0], xi0=1.0)
 
+    @pytest.mark.parametrize("field", ["S", "c", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, field, bad):
+        # refused by name at construction, whatever method would run later
+        data = {"A0": SPRING_A0, "S": SPRING_S.copy(), "c": np.array([1.0, 0.0]),
+                "v": np.array([1.0, 0.0])}
+        data[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries"):
+            ErrorSystem(xi0=4.0, **data)
+
     def test_tracking_error_at_zero(self):
         assert error_signal(spring_system(), 0.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,10 +128,14 @@ class TestErrorDerivative:
 
     @pytest.mark.parametrize("method", DERIVATIVE_METHODS)
     def test_one_sample_trace(self, method):
-        # error_derivative is trace's value, bit for bit, for every path
+        # error_derivative is trace's value, bit for bit, for every path;
+        # error_signal and log_sensitivity are the analytic trace's
         sys, _ = cli_system("two_qubit")
         for t in (0.0, 3.0, 30.5):
             assert error_derivative(sys, t, method) == trace(sys, [t], method).derror[0]
+            tr = trace(sys, [t])
+            assert error_signal(sys, t) == tr.error[0]
+            assert log_sensitivity(sys, t) == tr.logsens[0]
 
     def test_fd_without_cancellation(self):
         # fd through trace is the stepped deviation form, 6.6e-10 of |de/dxi|
@@ -625,13 +639,13 @@ class TestOracleTraces:
         # quadrature of at most 4 ulp(max t) composed with it
         import logsens.sensan as sensan
         calls = []
-        orig = sensan.dderiv_oracle_quadrature
+        orig = sensan._quadrature
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", counted)
+        monkeypatch.setattr(sensan, "_quadrature", counted)
         sys, _ = cli_system("rlc")
         grid = np.array([0.0, 0.4, 1.5, 1.9, 7.0, 31.0, 31.4, 32.5, 32.9])
         tr = trace(sys, grid, method="quadrature")
@@ -642,7 +656,7 @@ class TestOracleTraces:
         small = sorted(d for d in calls if d <= tol)
         assert small[0] == 0.0 and len(small) == 4 and small[1] > 0.0
         e = np.array([sys.c @ expm(sys.A0 * t) @ sys.v for t in grid])
-        de = np.array([sys.c @ orig(sys.A0, sys.S, t) @ sys.v for t in grid])
+        de = np.array([sys.c @ orig(sys.A0, sys.S, t)[0] @ sys.v for t in grid])
         assert np.max(np.abs(tr.error - e)) <= 1e-12 * np.max(np.abs(e))
         for ref in (de, blockaug_column(sys, grid)):
             assert np.max(np.abs(tr.derror - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -720,20 +734,20 @@ class TestOracleTraces:
         import warnings
 
         import logsens.sensan as sensan
-        from logsens.matexp import QuadratureWarning
-        coarse = functools.partial(dderiv_oracle_quadrature, max_panels=1)
-        monkeypatch.setattr(sensan, "dderiv_oracle_quadrature", coarse)
+        from logsens.matexp import QuadratureWarning, _quadrature
+        coarse = functools.partial(_quadrature, max_panels=1)
+        monkeypatch.setattr(sensan, "_quadrature", coarse)
         sys, _ = cli_system("rlc")
         grid = np.r_[0.25 * np.arange(1, 5), 1.0 + 3.0 * np.arange(1, 5),
                      13.0 + 7.0 * np.arange(1, 4)]
         steps = np.diff(grid, prepend=0.0)
         achieved = {}
+        for d in np.unique(steps):
+            miss = coarse(sys.A0, sys.S, d)[1]
+            if miss is not None:
+                achieved[d] = miss.achieved
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for d in np.unique(steps):
-                coarse(sys.A0, sys.S, d)
-                if caught:
-                    achieved[d] = caught.pop().message.achieved
             trace(sys, grid, method="quadrature")
         assert [w.category for w in caught] == [RuntimeWarning]
         assert not isinstance(caught[0].message, QuadratureWarning)
