@@ -536,8 +536,8 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
 
 
 def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig) -> dict:
-    """de/dxi of two paths at five seeded, distinct grid times (a window a
-    few ulps wide draws some twice): analytic vs blockaug, or blockaug vs fd
+    """de/dxi of two paths at five seeded uniform draws from [t_start, t_end]
+    (not grid points; repeats dropped): analytic vs blockaug, or blockaug vs fd
     on a near-defective spectrum, the only place fd comes in, since stepped
     over five distinct steps it costs far more than blockaug."""
     t0, t1, _ = cfg.grid

@@ -183,9 +183,9 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
 
     The grid is evaluated in blocks of ``_BLOCK`` samples, by Horner's rule
     in t, so the working memory is O(n B + T) besides the two output
-    columns.  The error reuses the exponentials of every mode whose cluster
-    mean is its own eigenvalue.  The imaginary residue of de/dxi is judged
-    once, against the whole trace's largest modulus.
+    columns.  One ``_exponent_plan``, kept with the coefficients, gives the
+    rows e^{lam t} and e^{lam_raw t}.  The imaginary residue of de/dxi is
+    judged once, against the whole trace's largest modulus.
     """
     if spec.near_defective and not spec.is_defective:
         raise ValueError(
@@ -215,26 +215,40 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
                 if r <= j:
                     C[r] -= (-1) ** i * math.comb(i + j - r, i) / f * R.sum(axis=0)
         Ce = np.array([zs[i] * coup.w / math.factorial(i) for i in range(L)])
-        kept = (spec, Ce, lam, C)
+        kept = (spec, Ce, C, _exponent_plan(lam, spec.eigenvalues))
         object.__setattr__(sys, "_modal_coefficients", kept)
-    _, Ce, lam, C = kept
-    moved = np.flatnonzero(lam != spec.eigenvalues)
+    _, Ce, C, plan = kept
     error, derror = np.empty(len(times)), np.empty(len(times))
     resid = absmax = 0.0
     for lo in range(0, len(times), _BLOCK):
         tb = times[lo:lo + _BLOCK]
-        E = np.exp(np.outer(lam, tb))
-        Er = E
-        if len(moved):
-            Er = E.copy()
-            Er[moved] = np.exp(np.outer(spec.eigenvalues[moved], tb))
+        E, Er = _exponentials(plan, tb)
         error[lo:lo + _BLOCK] = np.real(_horner(Ce, Er, tb))
         X = _horner(C, E, tb)
         derror[lo:lo + _BLOCK] = X.real
         resid = max(resid, float(np.max(np.abs(X.imag))))
         absmax = max(absmax, float(np.max(np.abs(X))))
+        del E, Er  # one block's rows at a time
     _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
     return error, derror
+
+
+def _exponent_plan(*zs):
+    """Distinct exponents w of the lists zs and, per list z, an index g and a
+    mask with exp(outer(z, t)) = exp(outer(w, t))[g], conjugated on rows with
+    Im < 0 and their conjugate listed: equal exponents give equal rows and
+    exp(conj z) == conj(exp z) bit for bit (a zero may flip sign at t = 0)."""
+    z = np.concatenate(zs)
+    mirror = (z.imag < 0) & np.isin(np.conj(z), z)
+    w, g = np.unique(np.where(mirror, np.conj(z), z), return_inverse=True)
+    cut = np.cumsum([len(x) for x in zs[:-1]])
+    return w, list(zip(np.split(g, cut), np.split(mirror[:, None], cut)))
+
+
+def _exponentials(plan, tb):
+    """Per list z of an ``_exponent_plan``, the rows ``exp(outer(z, tb))``."""
+    X = np.exp(np.outer(plan[0], tb))
+    return [np.conjugate(F, out=F, where=m) for g, m in plan[1] for F in [X[g]]]
 
 
 def _horner(C, E, tb):
@@ -430,16 +444,17 @@ def _numeric_minima_timing(zw, omegas, omega0):
     dominant axis, where the single-pair phase formula does not apply.
     The modulus is sampled in blocks of ``_BLOCK`` columns (O(n B) working
     memory); the column sums add the modes in order, as one n x samples
-    array would.  Returns (t0, spacing) or None if the minima do not recur
-    evenly.
+    array would; one exp per frequency up to sign (``_exponent_plan``).
+    Returns (t0, spacing) or None if the minima do not recur evenly.
     """
     T = 2 * np.pi / omega0
     ts = np.linspace(0.0, T, _MINIMA_SAMPLES, endpoint=False)
     h = np.empty(_MINIMA_SAMPLES)
+    plan = _exponent_plan(1j * omegas)
     for lo in range(0, _MINIMA_SAMPLES, _BLOCK):
         tb = ts[lo:lo + _BLOCK]
         h[lo:lo + _BLOCK] = np.abs(
-            np.sum(zw[:, None] * np.exp(1j * np.outer(omegas, tb)), axis=0))
+            np.sum(zw[:, None] * _exponentials(plan, tb)[0], axis=0))
     # local minima with periodic wraparound
     left = np.roll(h, 1)
     right = np.roll(h, -1)

@@ -7,7 +7,7 @@ as independent oracles for the analytic (eigenbasis / Jordan) paths.
 import numpy as np
 import pytest
 from conftest import make_jordan_system
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -385,13 +385,16 @@ class TestCrossPathProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
            t=st.floats(0.0, 50.0))
+    @example(seed=363, n=4, t=49.0)
     def test_quadrature_vs_blockaug_long_times(self, seed, n, t):
         # dyadic panels rebuild exp(tau A) from per-depth node offsets and
         # per-panel end exponentials; deep refinements at large t must still
-        # land on the block-augmented value
+        # land on the block-augmented value.  The bound is below the default
+        # abs_tol (1e-10), which the error estimate may claim while missing
+        # it: seed 363 is 1.19e-10 off at the default, 1e-22 at 1e-12
         rng = np.random.default_rng(seed)
         A = random_stable(rng, n, re_max=-rng.uniform(0.01, 0.5))
         S = rng.standard_normal((n, n))
-        quad = dderiv_oracle_quadrature(A, S, t)
+        quad = dderiv_oracle_quadrature(A, S, t, abs_tol=1e-12)
         block = dderiv_oracle_blockaug(A, S, t)
         assert np.max(np.abs(quad - block)) < 1e-11 * max(1.0, np.max(np.abs(block)))

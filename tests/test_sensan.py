@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from logsens.matexp import (
     Spectrum,
+    _refuse_imaginary,
     _require_real,
     couplings,
     dderiv_jordan,
@@ -27,6 +28,7 @@ from logsens.sensan import (
     DivergenceClassification,
     ErrorSystem,
     SensitivityTrace,
+    _horner,
     _modal,
     classify,
     detect_spikes,
@@ -429,6 +431,155 @@ class TestBlockedMinimaScan:
         assert peak_mib(lambda: classify(spec, coup, sys.xi0)) < 8
 
 
+def blocked_reference_modal(sys, spec, times):
+    """The blocked ``_modal`` before its exponent plan: one exp per mode at
+    the cluster means for de/dxi, and a second exp, for the error, on every
+    mode whose cluster mean is not its own eigenvalue."""
+    coup, p = sys.couplings(spec), np.arange(spec.n)
+    lam, same = spec.cluster_means(), spec.same_cluster_mask()
+    d = np.where(same, 1.0, lam[:, None] - lam[None, :])
+    head, end = p.copy(), p + 1
+    for s, size in spec.jordan_blocks:
+        head[s:s + size], end[s:s + size] = s, s + size
+    L = int(np.max(end - head))
+    zs = [np.where(p - i >= head, np.roll(coup.z, i), 0) for i in range(L)]
+    ws = [np.where(p + j < end, np.roll(coup.w, -j), 0) for j in range(L)]
+    C = np.zeros((2 * L, spec.n), np.result_type(coup.Sbar, lam))
+    for i, j in np.ndindex(L, L):
+        W = coup.Sbar * np.outer(zs[i], ws[j])
+        C[i + j + 1] += np.where(same, W, 0.0).sum(axis=1) / math.factorial(i + j + 1)
+        R = np.where(same, 0.0, W)
+        for r in range(i + j, -1, -1):
+            R, f = R / d, math.factorial(r)
+            if r <= i:
+                C[r] += (-1) ** (i - r) * math.comb(i + j - r, j) / f * R.sum(axis=1)
+            if r <= j:
+                C[r] -= (-1) ** i * math.comb(i + j - r, i) / f * R.sum(axis=0)
+    Ce = np.array([zs[i] * coup.w / math.factorial(i) for i in range(L)])
+    moved = np.flatnonzero(lam != spec.eigenvalues)
+    error, derror = np.empty(len(times)), np.empty(len(times))
+    resid = absmax = 0.0
+    for lo in range(0, len(times), _BLOCK):
+        tb = times[lo:lo + _BLOCK]
+        E = np.exp(np.outer(lam, tb))
+        Er = E
+        if len(moved):
+            Er = E.copy()
+            Er[moved] = np.exp(np.outer(spec.eigenvalues[moved], tb))
+        error[lo:lo + _BLOCK] = np.real(_horner(Ce, Er, tb))
+        X = _horner(C, E, tb)
+        derror[lo:lo + _BLOCK] = X.real
+        resid = max(resid, float(np.max(np.abs(X.imag))))
+        absmax = max(absmax, float(np.max(np.abs(X))))
+    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
+    return error, derror
+
+
+PLAN_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
+RLC_COMPLEX_POLES = [[-2.0, math.pi / 10], [-2.0, -math.pi / 10]]
+
+
+def config_system(kind, params=None):
+    """A CLI scenario's system and its grid's (t_start, dt)."""
+    from logsens.cli import build_system, validate_config
+    cfg = validate_config({"kind": kind, "parameters": params or {}})
+    return build_system(cfg)[0], cfg.grid[0], cfg.grid[2]
+
+
+class TestExponentPlan:
+    """``_modal`` exponentiates each distinct exponent once, up to
+    conjugation, and returns the bytes of one exp per row."""
+
+    @staticmethod
+    def assert_same_bytes(sys, spec, t0, dt):
+        for length in PLAN_LENGTHS:
+            times = t0 + dt * np.arange(length)
+            want = blocked_reference_modal(sys, spec, times)
+            for got, ref in zip(_modal(sys, spec, times), want):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_spin_chains_bitwise(self, N):
+        for pc in range(1, N):
+            sys, t0, dt = config_system("spin_chain", {"N": N, "perturbed_coupling": pc})
+            self.assert_same_bytes(sys, sys.spectrum(), t0, dt)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("two_qubit", {"perturbation": "S1"}), ("two_qubit", {"perturbation": "S2"}),
+        ("two_qubit", {"perturbation": "S3"}), ("two_qubit", {"perturbation": "S4"}),
+        ("spring_mass", {}), ("rlc", {}), ("rlc", {"poles": RLC_COMPLEX_POLES})],
+        ids=["two_qubit_S1", "two_qubit_S2", "two_qubit_S3", "two_qubit_S4",
+             "spring_mass", "rlc_real", "rlc_complex"])
+    def test_shipped_systems_bitwise(self, kind, params):
+        sys, t0, dt = config_system(kind, params)
+        self.assert_same_bytes(sys, sys.spectrum(), t0, dt)
+
+    @pytest.mark.parametrize("seed,sizes,n_extra,eigenvalues", [
+        (3, [2, 1], 0, [-0.2 + 1.0j, -0.7]),  # a conjugate pair of size-2 blocks
+        (5, [2, 2], 1, [-0.3 + 0.5j, -0.9 + 1.5j]),
+        (1, [3], 2, None),
+        (7, [2, 2], 1, None),  # two blocks at one eigenvalue
+        (2, [3, 1], 1, [-0.4, -1.1 + 0.5j]),
+    ])
+    def test_jordan_layouts_bitwise(self, seed, sizes, n_extra, eigenvalues):
+        sys, spec = jordan_case(seed, sizes, n_extra, eigenvalues=eigenvalues)
+        self.assert_same_bytes(sys, spec, 0.0, 0.03)
+
+    @pytest.mark.parametrize("kind,params,count", [
+        ("spin_chain", {"N": 4}, 12), ("spin_chain", {"N": 10}, 60),
+        ("two_qubit", {}, 13)])
+    def test_exponentials_per_sample(self, kind, params, count):
+        # one exp per mode at the means, and per moved mode again, before:
+        # 30 on spin_chain N=4, 198 on N=10, 22 on two_qubit
+        sys, _, _ = config_system(kind, params)
+        _modal(sys, sys.spectrum(), np.zeros(1))
+        assert len(sys._modal_coefficients[3][0]) == count
+
+
+def same_mirror_bytes(z):
+    return np.exp(np.conj(z)).tobytes() == np.conj(np.exp(z)).tobytes()
+
+
+class TestMirrorIdentity:
+    """``exp(conj z) == conj(exp z)`` bit for bit, which the exponent plan
+    relies on; a libm without this symmetry fails here by name."""
+
+    @pytest.mark.parametrize("kind,params", [
+        ("spin_chain", {"N": 4}), ("spin_chain", {"N": 10}), ("two_qubit", {})],
+        ids=["spin_chain_N4", "spin_chain_N10", "two_qubit"])
+    def test_shipped_exponents(self, kind, params):
+        from logsens.cli import build_system, validate_config
+        cfg = validate_config({"kind": kind, "parameters": params})
+        spec = build_system(cfg)[0].spectrum()
+        times = cfg.grid_times()
+        for lam in (spec.cluster_means(), spec.eigenvalues):
+            assert same_mirror_bytes(np.outer(lam, times))
+
+    def test_minima_scan_exponents(self, monkeypatch):
+        import logsens.sensan as sensan
+        scans = []
+        scan = sensan._numeric_minima_timing
+
+        def recorded(zw, omegas, omega0):
+            scans.append((omegas, omega0))
+            return scan(zw, omegas, omega0)
+
+        monkeypatch.setattr(sensan, "_numeric_minima_timing", recorded)
+        for N in range(3, 11):
+            _, sys = spin_chain_scenario(N)
+            spec = sys.spectrum()
+            classify(spec, couplings(spec, sys.S, sys.c, sys.v), sys.xi0)
+        assert len(scans) == 8
+        for omegas, omega0 in scans:
+            ts = np.linspace(0.0, 2 * np.pi / omega0, 8192, endpoint=False)
+            assert same_mirror_bytes(1j * np.outer(omegas, ts))
+
+    def test_random_exponents(self):
+        rng = np.random.default_rng(20221)
+        z = rng.uniform(-700.0, 700.0, 100_000) + 1j * rng.uniform(-1e4, 1e4, 100_000)
+        assert same_mirror_bytes(z)
+
+
 def reference_jordan_trace(sys, spec, times):
     """The per-sample loop the modal evaluator replaced on Jordan spectra:
     ``dderiv_jordan`` at every time (one dominant block only), and the error
@@ -572,10 +723,13 @@ class TestJordanModal:
         sys = build_system(validate_config({"kind": kind, "parameters": params}))[0]
         spec = sys.spectrum()
         _modal(sys, spec, np.zeros(1))
-        _, Ce, lam, C = sys._modal_coefficients
+        _, Ce, C, (w, parts) = sys._modal_coefficients
         zw, lam_ref, a, b = reference_coefficients(sys, spec)
         assert Ce.shape == (1, spec.n) and C.shape == (2, spec.n)
-        for got, want in zip((Ce[0], lam, C[0], C[1]), (zw, lam_ref, a, b)):
+        # the plan's rows: the cluster means, then the raw eigenvalues
+        lam, lam_raw = (np.where(m[:, 0], np.conj(w[g]), w[g]) for g, m in parts)
+        for got, want in zip((Ce[0], lam, lam_raw, C[0], C[1]),
+                             (zw, lam_ref, spec.eigenvalues, a, b)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
