@@ -9,26 +9,36 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure or out of memory, 2 config error (so are a non-finite number, a grid
-over ``MAX_GRID_ROWS`` samples or with merging times, a chain over
-``MAX_CHAIN_SITES`` sites).
+failure, out of memory or a CSV worker process that died, 2 config error (so
+are a non-finite number, a grid over ``MAX_GRID_ROWS`` samples or with
+merging times, a chain over ``MAX_CHAIN_SITES`` sites, output names that are
+empty, end in a separator or name one file twice).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/scipy/BLAS build and BLAS thread count: no timestamps, sorted
 report keys, shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
+A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is formatted by
+worker processes forked with it, one per usable CPU, each block in one task
+and at most two tasks per worker in flight, so the parent's memory stays
+O(block); the bytes do not depend on the worker count.  On one CPU, on a
+shorter trace, or where processes cannot fork, this process formats it.
+Outputs get the mode a plain ``open()`` would give them.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -359,6 +369,12 @@ def validate_config(raw) -> ScenarioConfig:
         "report_json": _want(outputs.get("report_json"), "outputs.report_json",
                              str, "report.json"),
     }
+    for key, name in outputs.items():
+        if os.path.basename(name) in ("", ".", ".."):
+            raise ConfigError(f"outputs.{key}", f"{name!r} does not name a file")
+    if os.path.normpath(outputs["trace_csv"]) == os.path.normpath(outputs["report_json"]):
+        raise ConfigError("outputs.report_json", "names the same file as "
+                                                 "outputs.trace_csv")
     seed = _want(raw.get("seed"), "seed", int, 0)
     return ScenarioConfig(kind=kind, parameters=params,
                           grid=(t_start, t_end, dt), method=method,
@@ -455,6 +471,13 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _umask():
+    """The process umask, read by setting it and back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path, pieces):
     """Write text pieces to ``path`` as they come, through a temp file that
     replaces it only once complete: a failure leaves the old file as it was."""
@@ -463,6 +486,7 @@ def _atomic_write(path, pieces):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         try:
+            os.chmod(tmp, 0o666 & ~_umask())  # mkstemp's 0600 -> open()'s mode
             f = os.fdopen(fd, "w", newline="")
         except BaseException:
             os.close(fd)
@@ -477,28 +501,93 @@ def _atomic_write(path, pieces):
 
 
 _CSV_BLOCK = 1024  # rows formatted and written at a time
+_CSV_POOL_ROWS = 32 * _CSV_BLOCK  # shortest trace formatted by worker processes
+_CSV_MAX_WORKERS = 8  # each fork copies the parent's page tables
+
+# The trace a worker process formats, set by ``_init_csv_worker`` in each
+# worker; the parent never sets it.
+_worker_trace = None
+
+
+def _csv_block(tr, lo):
+    """CSV lines of rows ``lo`` to ``lo + _CSV_BLOCK`` of a trace."""
+    rows = slice(lo, lo + _CSV_BLOCK)
+    masked = tr.spike_mask[rows].tolist()
+    e = list(map(repr, tr.error[rows].tolist()))
+    ls = ["" if m else repr(x)
+          for m, x in zip(masked, tr.logsens[rows].tolist())]
+    # repr(abs(x)) == repr(x).lstrip("-") for every double, -0.0/nan too
+    ae, als = ([s.lstrip("-") for s in col] for col in (e, ls))
+    cols = (map(repr, tr.times[rows].tolist()), e, ae,
+            map(repr, tr.derror[rows].tolist()), ls, als,
+            ["1" if m else "0" for m in masked])
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _init_csv_worker(tr):
+    global _worker_trace
+    _worker_trace = tr
+
+
+def _csv_worker_block(lo):
+    return _csv_block(_worker_trace, lo)
+
+
+def _csv_workers(rows):
+    """Worker processes to format a trace of ``rows`` rows: one per usable
+    CPU, at most ``_CSV_MAX_WORKERS``; 0 (format in this process) below
+    ``_CSV_POOL_ROWS`` rows, on one CPU, or where processes cannot fork."""
+    if rows < _CSV_POOL_ROWS or not hasattr(os, "sched_getaffinity"):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    import multiprocessing  # here, not at start-up: 3 ms of every command
+    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    return min(cpus, _CSV_MAX_WORKERS)
 
 
 def _csv_blocks(tr):
+    """The trace CSV's header, then its blocks of rows in order.
+
+    A long trace's blocks are formatted by ``_csv_workers`` processes forked
+    with the trace, one block per task and at most two tasks per worker in
+    flight; pending tasks are cancelled and the workers joined when the
+    generator finishes, fails or is closed.  Fork, not spawn: a spawned
+    worker would import numpy afresh and be sent the trace, while a forked
+    one runs only ``_csv_block``, which takes no lock another thread of the
+    parent could hold at the fork (no BLAS call, no import, no I/O).
+    """
     yield "t,error,abs_error,derror,logsens,abs_logsens,spike_flag\n"
-    for lo in range(0, len(tr), _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
-        masked = tr.spike_mask[rows].tolist()
-        e = list(map(repr, tr.error[rows].tolist()))
-        ls = ["" if m else repr(x)
-              for m, x in zip(masked, tr.logsens[rows].tolist())]
-        # repr(abs(x)) == repr(x).lstrip("-") for every double, -0.0/nan too
-        ae, als = ([s.lstrip("-") for s in col] for col in (e, ls))
-        cols = (map(repr, tr.times[rows].tolist()), e, ae,
-                map(repr, tr.derror[rows].tolist()), ls, als,
-                ["1" if m else "0" for m in masked])
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+    starts = range(0, len(tr), _CSV_BLOCK)
+    workers = _csv_workers(len(tr))
+    if not workers:
+        for lo in starts:
+            yield _csv_block(tr, lo)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_csv_worker, initargs=(tr,))
+    try:
+        tasks = collections.deque()
+        for lo in starts:
+            tasks.append(pool.submit(_csv_worker_block, lo))
+            if len(tasks) == 2 * workers:
+                yield tasks.popleft().result()
+        while tasks:
+            yield tasks.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def write_trace_csv(path, tr):
     """Trace CSV: shortest round-trip floats, empty logsens on masked rows,
-    formatted column-wise and streamed to disk in blocks of rows."""
-    _atomic_write(path, _csv_blocks(tr))
+    formatted column-wise and streamed to disk in blocks of rows.  Any worker
+    process it starts has ended when it returns or raises."""
+    with contextlib.closing(_csv_blocks(tr)) as blocks:
+        _atomic_write(path, blocks)
 
 
 def _config_hash(cfg: ScenarioConfig) -> str:
@@ -765,6 +854,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as e:
         print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as e:
+        print(f"worker process failed: {e}", file=sys.stderr)
         return 1
     return 2
 

@@ -1,9 +1,15 @@
 """Tests for config validation, scenario runs, file outputs and exit codes."""
 
+import concurrent.futures
+import errno
 import json
 import math
+import multiprocessing
 import os
+import signal
+import stat
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from conftest import peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logsens.cli as cli
 from logsens.cli import (
     _CSV_BLOCK,
     TABLE1_DEFAULT_TARGETS,
@@ -260,9 +267,34 @@ def awkward_trace(rows, seed=0):
                             mask)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool started while the test runs, as ``[workers, tasks
+    submitted]``."""
+    started = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            super().__init__(workers, *args, **kwargs)
+            self.record = [workers, 0]
+            started.append(self.record)
+
+        def submit(self, *args, **kwargs):
+            self.record[1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+def usable_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
 class TestTraceCsvWriter:
-    """The block writer reproduces the row formatter's bytes and keeps its
-    memory to a block of rows."""
+    """The block writer reproduces the row formatter's bytes, whether this
+    process or forked workers format the blocks, and keeps its memory to a
+    block of rows."""
 
     @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
                                       _CSV_BLOCK + 1])
@@ -277,6 +309,43 @@ class TestTraceCsvWriter:
         tr = awkward_trace(2 * _CSV_BLOCK + 5)
         write_trace_csv(tmp_path / "trace.csv", tr)
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+
+    @pytest.mark.parametrize("blocks", [31, 32, 33])
+    def test_pool_from_32_blocks(self, blocks, pools, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        tr = awkward_trace(blocks * _CSV_BLOCK)
+        write_trace_csv(tmp_path / "trace.csv", tr)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+        assert pools == ([] if blocks < 32 else [[2, blocks]])
+
+    def test_awkward_values_across_pool_blocks(self, pools, tmp_path, monkeypatch):
+        # masked rows on both sides of each of the 39 block boundaries
+        usable_cpus(monkeypatch, 2)
+        tr = awkward_trace(39 * _CSV_BLOCK + 5, seed=1)
+        write_trace_csv(tmp_path / "trace.csv", tr)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+        assert pools == [[2, 40]]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_bytes_independent_of_cpus(self, cpus, pools, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        cfg = validate_config({"kind": "spin_chain", "grid": {"dt": 1e-3}})
+        tr = trace(build_system(cfg)[0], cfg.grid_times())
+        assert tr.spike_mask.any() and not tr.spike_mask.all()
+        write_trace_csv(tmp_path / "trace.csv", tr)
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
+        assert pools == ([] if cpus == 1 else [[cpus, 49]])
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_tasks_in_flight_bounded(self, cpus, pools, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        blocks = cli._csv_blocks(awkward_trace(40 * _CSV_BLOCK))
+        next(blocks)  # the header, before any pool starts
+        in_flight = []
+        for taken, _ in enumerate(blocks):
+            in_flight.append(pools[0][1] - taken)
+        assert len(in_flight) == 40 and max(in_flight) == 2 * cpus
+        assert multiprocessing.active_children() == []
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # the row-at-a-time writer peaked at 45 MiB here, this one at 0.5 MiB
@@ -317,6 +386,131 @@ class TestTraceCsvWriter:
         with pytest.raises(OSError):
             os.fstat(fds[0])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWorkerProcesses:
+    """No worker process outlives a write, and a failure in a worker or in
+    the file keeps the previous file and leaves no temp file."""
+
+    @pytest.fixture
+    def out(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        (tmp_path / "trace.csv").write_bytes(b"previous\n")
+        return tmp_path
+
+    def run_long(self, out):
+        # 50001 rows: 49 blocks
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass",
+                                   "grid": {"t_end": 50.0, "dt": 1e-3}}))
+        return main(["run", str(cfg), "--out-dir", str(out)])
+
+    def fail_in_worker(self, monkeypatch, fail):
+        parent, block = os.getpid(), cli._csv_block
+
+        def failing(tr, lo):
+            assert os.getpid() != parent, "block formatted in the parent"
+            if lo == 5 * _CSV_BLOCK:
+                fail()
+            return block(tr, lo)
+
+        monkeypatch.setattr(cli, "_csv_block", failing)
+
+    def test_none_after_write(self, out, pools, capsys):
+        assert self.run_long(out) == 0
+        assert multiprocessing.active_children() == []
+        assert pools == [[2, 49]]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cfg.json", "report.json", "trace.csv"]
+
+    def test_failed_writelines(self, out, pools, monkeypatch):
+        fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def writelines(self, pieces):
+                for i, piece in enumerate(pieces):
+                    if i == 3:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    self.f.write(piece)
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: FullDisk(fdopen(*a, **k)))
+        with pytest.raises(OSError, match="No space") as failed:
+            write_trace_csv(str(out / "trace.csv"), awkward_trace(40 * _CSV_BLOCK))
+        # the traceback, which holds the block stream, is still alive here
+        assert failed.value.errno == errno.ENOSPC
+        assert multiprocessing.active_children() == []
+        assert pools[0][0] == 2 and pools[0][1] < 40
+        assert (out / "trace.csv").read_bytes() == b"previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+
+    def test_worker_out_of_memory_is_1(self, out, pools, monkeypatch, capsys):
+        def exhausted():
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        self.fail_in_worker(monkeypatch, exhausted)
+        assert self.run_long(out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("out of memory: Unable")
+        assert multiprocessing.active_children() == []
+        assert pools[0][0] == 2
+        assert (out / "trace.csv").read_bytes() == b"previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
+
+    def test_killed_worker_is_1(self, out, pools, monkeypatch, capsys):
+        self.fail_in_worker(monkeypatch,
+                            lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert self.run_long(out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("worker process failed: ")
+        assert multiprocessing.active_children() == []
+        assert (out / "trace.csv").read_bytes() == b"previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=oct)
+    def test_mode_of_plain_open(self, mask, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0}}))
+        old = os.umask(mask)
+        try:
+            assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+            assert main(["table1", "--chain", "n2", "--targets", "0.9",
+                         "--out-dir", str(tmp_path)]) == 0
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()
+                 if p.name != "cfg.json"}
+        assert modes == dict.fromkeys(["plain", "trace.csv", "report.json",
+                                       "table1_n2.csv"], 0o666 & ~mask)
+
+    @pytest.mark.parametrize("outputs, field", [
+        ({"trace_csv": "out.csv", "report_json": "out.csv"}, "outputs.report_json"),
+        ({"trace_csv": "out.csv", "report_json": "./sub/../out.csv"},
+         "outputs.report_json"),
+        ({"trace_csv": ""}, "outputs.trace_csv"),
+        ({"report_json": ""}, "outputs.report_json"),
+        ({"trace_csv": "sub" + os.sep}, "outputs.trace_csv"),
+        ({"report_json": "sub/."}, "outputs.report_json"),
+    ])
+    def test_bad_names_are_2(self, outputs, field, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0},
+                                   "outputs": outputs}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestNearDefective:
