@@ -9,7 +9,8 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure, out of memory or a CSV worker process that died, 2 config error (so
+failure, out of memory, a CSV worker process that died or an output that
+cannot be written (each with one line on stderr), 2 config error (so
 are a non-finite number, a grid over ``MAX_GRID_ROWS`` samples or with
 merging times, a chain over ``MAX_CHAIN_SITES`` sites, output names that are
 empty, end in a separator or name one file twice).
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KINDS = ("spring_mass", "rlc", "two_qubit", "spin_chain", "custom")
 
 # Row budget: the most samples a grid (or ``check --samples``) may ask for.
 # A trace holds O(rows) memory, so a larger grid, or one whose row count is
@@ -138,20 +138,23 @@ class ScenarioConfig:
 
 # -- config validation --------------------------------------------------------
 
-GRID_DEFAULTS = {
-    "spring_mass": (0.0, 50.0, 0.01),
-    "rlc": (0.0, 50.0, 0.01),
-    "two_qubit": (0.0, 2000.0, 1.0),
-    "spin_chain": (0.0, 50.0, 0.01),
-    "custom": (0.0, 50.0, 0.01),
+# Each kind's default grid (t_start, t_end, dt) and fit window, in the order
+# the ``kind`` refusal lists the kinds.
+_KIND_DEFAULTS = {
+    "spring_mass": ((0.0, 50.0, 0.01), (10.0, 50.0)),
+    "rlc": ((0.0, 50.0, 0.01), (10.0, 50.0)),
+    "two_qubit": ((0.0, 2000.0, 1.0), (500.0, 2000.0)),
+    "spin_chain": ((0.0, 50.0, 0.01), (10.0, 50.0)),
+    "custom": ((0.0, 50.0, 0.01), (10.0, 50.0)),
 }
 
-FIT_WINDOW_DEFAULTS = {
-    "spring_mass": (10.0, 50.0),
-    "rlc": (10.0, 50.0),
-    "two_qubit": (500.0, 2000.0),
-    "spin_chain": (10.0, 50.0),
-    "custom": (10.0, 50.0),
+# The step-tracking loops, closed by pole placement: each kind's plant
+# builder, default xi0 and what xi0 is, default poles and the pole counts
+# accepted (rlc fills a missing third pole with ``RLC_LAMBDA3_DEFAULT``).
+_LOOPS = {
+    "spring_mass": (spring_mass_scenario, 4.0, "spring constant",
+                    [-2.0, -5.0], (2,)),
+    "rlc": (rlc_scenario, 0.5, "inverse inductance", [-1.0, -2.0, -4.0], (2, 3)),
 }
 
 
@@ -237,29 +240,20 @@ def _window(raw, path, default):
 def _validate_parameters(kind, raw):
     p = dict(raw or {})
     out = {}
-    if kind == "spring_mass":
+    if kind in _LOOPS:
+        _, xi0, xi0_name, poles, counts = _LOOPS[kind]
         _reject_unknown(p, {"xi0", "poles", "fit_window"}, "parameters")
         out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0",
-                                 (int, float), 4.0))
+                                 (int, float), xi0))
         if out["xi0"] <= 0:
-            raise ConfigError("parameters.xi0", "spring constant must be positive")
-        poles = p.get("poles", [-2.0, -5.0])
-        if not isinstance(poles, list) or len(poles) != 2:
-            raise ConfigError("parameters.poles", "expected 2 poles")
-        out["poles"] = [_complex_to_json(_pole_value(x, f"parameters.poles[{i}]"))
-                        for i, x in enumerate(poles)]
-    elif kind == "rlc":
-        _reject_unknown(p, {"xi0", "poles", "fit_window"}, "parameters")
-        out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0",
-                                 (int, float), 0.5))
-        if out["xi0"] <= 0:
-            raise ConfigError("parameters.xi0", "inverse inductance must be positive")
-        poles = p.get("poles", [-1.0, -2.0, -4.0])
-        if not isinstance(poles, list) or len(poles) not in (2, 3):
-            raise ConfigError("parameters.poles", "expected 2 or 3 poles")
+            raise ConfigError("parameters.xi0", f"{xi0_name} must be positive")
+        poles = p.get("poles", poles)
+        if not isinstance(poles, list) or len(poles) not in counts:
+            raise ConfigError("parameters.poles",
+                              f"expected {' or '.join(map(str, counts))} poles")
         vals = [_pole_value(x, f"parameters.poles[{i}]")
                 for i, x in enumerate(poles)]
-        if len(vals) == 2:
+        if kind == "rlc" and len(vals) == 2:
             vals.append(complex(RLC_LAMBDA3_DEFAULT))
         out["poles"] = [_complex_to_json(v) for v in vals]
     elif kind == "two_qubit":
@@ -324,7 +318,7 @@ def _validate_parameters(kind, raw):
         out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0", (int, float),
                                  1.0))
     out["fit_window"] = _window(p.get("fit_window"), "parameters.fit_window",
-                                FIT_WINDOW_DEFAULTS[kind])
+                                _KIND_DEFAULTS[kind][1])
     return out
 
 
@@ -339,13 +333,13 @@ def validate_config(raw) -> ScenarioConfig:
     if ver != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {ver}")
     kind = _want(raw.get("kind"), "kind", str, required=True)
-    if kind not in KINDS:
-        raise ConfigError("kind", f"must be one of {KINDS}")
+    if kind not in _KIND_DEFAULTS:
+        raise ConfigError("kind", f"must be one of {tuple(_KIND_DEFAULTS)}")
     params = _validate_parameters(kind, _want(raw.get("parameters"),
                                               "parameters", dict, {}))
     g = _want(raw.get("grid"), "grid", dict, {})
     _reject_unknown(g, {"t_start", "t_end", "dt"}, "grid")
-    gd = GRID_DEFAULTS[kind]
+    gd = _KIND_DEFAULTS[kind][0]
     t_start = float(_want(g.get("t_start"), "grid.t_start", (int, float), gd[0]))
     t_end = float(_want(g.get("t_end"), "grid.t_end", (int, float), gd[1]))
     dt = float(_want(g.get("dt"), "grid.dt", (int, float), gd[2]))
@@ -396,11 +390,6 @@ def _complex_to_json(z):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-def _poles_from_json(raw):
-    return [complex(x) if isinstance(x, (int, float)) else complex(x[0], x[1])
-            for x in raw]
-
-
 def build_system(cfg: ScenarioConfig):
     """Instantiate the configured scenario.
 
@@ -410,16 +399,12 @@ def build_system(cfg: ScenarioConfig):
     """
     p = cfg.parameters
     notes = {}
-    if cfg.kind == "spring_mass":
-        plant = spring_mass_scenario(p["xi0"])
-        loop, sys = close_loop(plant, _poles_from_json(p["poles"]))
-        return sys, loop.beta, notes
-    if cfg.kind == "rlc":
-        plant = rlc_scenario(p["xi0"])
-        poles = _poles_from_json(p["poles"])
-        if any(abs(z.imag) > 0 for z in poles):
+    if cfg.kind in _LOOPS:
+        poles = [_pole_value(x, f"parameters.poles[{i}]")
+                 for i, x in enumerate(p["poles"])]
+        if cfg.kind == "rlc" and any(abs(z.imag) > 0 for z in poles):
             notes["rlc_lambda3"] = sorted(z.real for z in poles)[0]
-        loop, sys = close_loop(plant, poles)
+        loop, sys = close_loop(_LOOPS[cfg.kind][0](p["xi0"]), poles)
         return sys, loop.beta, notes
     if cfg.kind == "two_qubit":
         rho0 = None if p["rho0"] == "ground" else np.asarray(p["rho0"],
@@ -857,6 +842,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenExecutor as e:
         print(f"worker process failed: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
         return 1
     return 2
 

@@ -90,6 +90,76 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="schema_version"):
             validate_config({"kind": "spring_mass", "schema_version": 2})
 
+    @pytest.mark.parametrize("kind, params, path, message", [
+        ("spring_mass", {"xi0": 0}, "parameters.xi0",
+         "spring constant must be positive"),
+        ("spring_mass", {"xi0": -4.0}, "parameters.xi0",
+         "spring constant must be positive"),
+        ("spring_mass", {"xi0": "4"}, "parameters.xi0", "expected int/float, got str"),
+        ("rlc", {"xi0": 0.0}, "parameters.xi0", "inverse inductance must be positive"),
+        ("rlc", {"xi0": -1}, "parameters.xi0", "inverse inductance must be positive"),
+        ("rlc", {"xi0": "0.5"}, "parameters.xi0", "expected int/float, got str"),
+        ("spring_mass", {"poles": [-2.0]}, "parameters.poles", "expected 2 poles"),
+        ("spring_mass", {"poles": [-1.0, -2.0, -4.0]}, "parameters.poles",
+         "expected 2 poles"),
+        ("spring_mass", {"poles": -2.0}, "parameters.poles", "expected 2 poles"),
+        ("rlc", {"poles": [-1.0]}, "parameters.poles", "expected 2 or 3 poles"),
+        ("rlc", {"poles": [-1.0, -2.0, -3.0, -4.0]}, "parameters.poles",
+         "expected 2 or 3 poles"),
+        ("rlc", {"poles": {"re": -1.0}}, "parameters.poles", "expected 2 or 3 poles"),
+        ("spring_mass", {"poles": [-2.0, [-5.0, 0.0, 1.0]]}, "parameters.poles[1]",
+         "pole must be a number or [re, im] pair"),
+        ("rlc", {"poles": [[-2.0, 0.3, 0.0], [-2.0, -0.3]]}, "parameters.poles[0]",
+         "pole must be a number or [re, im] pair"),
+        ("rlc", {"poles": [-1.0, "-2"]}, "parameters.poles[1]",
+         "pole must be a number or [re, im] pair"),
+        ("spring_mass", {"mass": 1.0}, "parameters.mass", "unknown key"),
+        ("rlc", {"resistance": 1.0}, "parameters.resistance", "unknown key"),
+    ])
+    def test_loop_refusals(self, kind, params, path, message):
+        with pytest.raises(ConfigError) as exc:
+            validate_config({"kind": kind, "parameters": params})
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_unknown_kind_lists_kinds(self):
+        with pytest.raises(ConfigError) as exc:
+            validate_config({"kind": "pendulum"})
+        assert str(exc.value) == ("kind: must be one of ('spring_mass', 'rlc', "
+                                  "'two_qubit', 'spin_chain', 'custom')")
+
+    CUSTOM = {"A1": [[-1.0]], "S": [[1.0]], "c": [1.0], "v": [1.0]}
+    GRID = {"t_start": 0.0, "t_end": 50.0, "dt": 0.01}
+
+    @pytest.mark.parametrize("raw, parameters, grid", [
+        ({"kind": "spring_mass"},
+         {"xi0": 4.0, "poles": [-2.0, -5.0], "fit_window": [10.0, 50.0]}, GRID),
+        ({"kind": "rlc"},
+         {"xi0": 0.5, "poles": [-1.0, -2.0, -4.0], "fit_window": [10.0, 50.0]}, GRID),
+        ({"kind": "rlc", "parameters": {"poles": [-1, [-2.0, 0.5]]}},
+         {"xi0": 0.5, "poles": [-1.0, [-2.0, 0.5], -5.3], "fit_window": [10.0, 50.0]},
+         GRID),
+        ({"kind": "two_qubit"},
+         {"perturbation": "S1", "alpha": [1.0, 1.0], "Delta": [-0.1, 0.1],
+          "gamma": [1.0, 1.0], "rho0": "ground", "fit_window": [500.0, 2000.0]},
+         {"t_start": 0.0, "t_end": 2000.0, "dt": 1.0}),
+        ({"kind": "spin_chain"},
+         {"N": 2, "lambda": math.pi / 5, "perturbed_coupling": 1,
+          "excitation_site": 1, "fit_window": [10.0, 50.0]}, GRID),
+        ({"kind": "custom", "parameters": CUSTOM},
+         {**CUSTOM, "xi0": 1.0, "fit_window": [10.0, 50.0]}, GRID),
+    ], ids=["spring_mass", "rlc", "rlc_pair", "two_qubit", "spin_chain", "custom"])
+    def test_echoed_defaults(self, raw, parameters, grid):
+        echoed = validate_config(raw).echo()
+        assert echoed == {"schema_version": 1, "kind": raw["kind"],
+                          "parameters": parameters, "grid": grid,
+                          "method": "analytic",
+                          "outputs": {"trace_csv": "trace.csv",
+                                      "report_json": "report.json"},
+                          "seed": 0}
+        # floats stay floats: 4 and 4.0 give different config hashes
+        assert json.dumps(echoed["parameters"]) == json.dumps(parameters)
+
 
 class TestRunScenario:
     def test_spring_mass_report(self, tmp_path):
@@ -985,6 +1055,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("out of memory: Unable")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_output_is_a_directory_is_1(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 5.0}})
+        (tmp_path / "trace.csv").mkdir()
+        (tmp_path / "trace.csv" / "kept").write_bytes(b"kept\n")
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cannot write output: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "trace.csv"]
+        assert [p.name for p in (tmp_path / "trace.csv").iterdir()] == ["kept"]
+        assert (tmp_path / "trace.csv" / "kept").read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "table1"])
+    def test_out_dir_is_a_file_is_1(self, command, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 5.0}})
+        out = tmp_path / "out"
+        out.write_bytes(b"a file\n")
+        argv = {"run": ["run", cfg], "table1": ["table1", "--chain", "n2"]}[command]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cannot write output: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+        assert out.read_bytes() == b"a file\n"
 
     def test_grid_override(self, tmp_path):
         cfg = self.write(tmp_path, {"kind": "spring_mass"})
