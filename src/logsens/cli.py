@@ -9,11 +9,13 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure, out of memory, a CSV worker process that died or an output that
-cannot be written (each with one line on stderr), 2 config error (so
-are a non-finite number, a grid over ``MAX_GRID_ROWS`` samples or with
-merging times, a chain over ``MAX_CHAIN_SITES`` sites, output names that are
-empty, end in a separator or name one file twice).
+failure (a non-finite oracle deviation included), out of memory, a CSV
+worker process that died or an output that cannot be written (each with
+one line on stderr), 2 config error (so are a non-finite number or a bool
+where a number belongs, a config a scenario builder refuses, a grid over
+``MAX_GRID_ROWS`` samples or with merging times, a chain over
+``MAX_CHAIN_SITES`` sites, output names that are empty, end in a separator
+or name one file twice).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/scipy/BLAS build and BLAS thread count: no timestamps, sorted
@@ -163,27 +165,23 @@ def _want(raw, path, types, default=None, required=False):
         if required:
             raise ConfigError(path, "required field missing")
         return default
-    if not isinstance(raw, types):
+    if isinstance(raw, bool) or not isinstance(raw, types):  # no field is a bool
         names = getattr(types, "__name__", None) or "/".join(
             t.__name__ for t in types)
         raise ConfigError(path, f"expected {names}, got {type(raw).__name__}")
     return raw
 
 
-def _refuse_non_finite(raw, path=""):
-    """Refuse NaN, +-Infinity and integers past the float range anywhere in
-    a raw config (``json.load`` accepts them), naming the field."""
-    if isinstance(raw, dict):
-        for key, val in raw.items():
-            _refuse_non_finite(val, f"{path}.{key}" if path else str(key))
-    elif isinstance(raw, list):
-        for i, val in enumerate(raw):
-            _refuse_non_finite(val, f"{path}[{i}]")
-    elif isinstance(raw, float) and not math.isfinite(raw):
+def _number(raw, path, default=None, types=(int, float)):
+    """Every number a config holds is read here, ``default`` when absent
+    (required if None): refuses non-numbers, bools, and NaN, +-Infinity or
+    integers past the float range (``json.load`` reads them), naming the field."""
+    if isinstance(raw, float) and not math.isfinite(raw):
         raise ConfigError(path, f"must be a finite number, got {raw!r}")
-    elif isinstance(raw, int) and abs(raw) > sys.float_info.max:
+    if isinstance(raw, int) and abs(raw) > sys.float_info.max:
         raise ConfigError(path, "must be a finite number, got an integer past "
                                 "the float range")
+    return _want(raw, path, types, default, required=default is None)
 
 
 def _reject_unknown(d, allowed, path):
@@ -193,11 +191,10 @@ def _reject_unknown(d, allowed, path):
 
 
 def _pole_value(entry, path):
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(*(_number(x, f"{path}[{i}]") for i, x in enumerate(entry)))
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
-        return complex(entry[0], entry[1])
+        return complex(_number(entry, path))
     raise ConfigError(path, "pole must be a number or [re, im] pair")
 
 
@@ -205,27 +202,21 @@ def _matrix(raw, path, rows=None, cols=None):
     if not (isinstance(raw, list) and raw
             and all(isinstance(r, list) for r in raw)):
         raise ConfigError(path, "expected a list of rows")
-    width = len(raw[0])
-    for i, r in enumerate(raw):
-        if len(r) != width:
-            raise ConfigError(f"{path}[{i}]", "ragged matrix")
-        for j, x in enumerate(r):
-            if not isinstance(x, (int, float)):
-                raise ConfigError(f"{path}[{i}][{j}]", "expected a number")
-    if rows is not None and len(raw) != rows:
-        raise ConfigError(path, f"expected {rows} rows, got {len(raw)}")
-    if cols is not None and width != cols:
-        raise ConfigError(path, f"expected {cols} columns, got {width}")
-    return np.asarray(raw, dtype=float)
+    m = np.array([_vector(r, f"{path}[{i}]", len(raw[0])) for i, r in enumerate(raw)])
+    if rows is not None and len(m) != rows:
+        raise ConfigError(path, f"expected {rows} rows, got {len(m)}")
+    if cols is not None and m.shape[1] != cols:
+        raise ConfigError(path, f"expected {cols} columns, got {m.shape[1]}")
+    return m
 
 
 def _vector(raw, path, size=None):
-    if not (isinstance(raw, list)
-            and all(isinstance(x, (int, float)) for x in raw)):
+    if not isinstance(raw, list):
         raise ConfigError(path, "expected a list of numbers")
-    if size is not None and len(raw) != size:
-        raise ConfigError(path, f"expected length {size}, got {len(raw)}")
-    return np.asarray(raw, dtype=float)
+    v = np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(raw)], dtype=float)
+    if size is not None and len(v) != size:
+        raise ConfigError(path, f"expected length {size}, got {len(v)}")
+    return v
 
 
 def _window(raw, path, default):
@@ -243,8 +234,7 @@ def _validate_parameters(kind, raw):
     if kind in _LOOPS:
         _, xi0, xi0_name, poles, counts = _LOOPS[kind]
         _reject_unknown(p, {"xi0", "poles", "fit_window"}, "parameters")
-        out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0",
-                                 (int, float), xi0))
+        out["xi0"] = float(_number(p.get("xi0"), "parameters.xi0", xi0))
         if out["xi0"] <= 0:
             raise ConfigError("parameters.xi0", f"{xi0_name} must be positive")
         poles = p.get("poles", poles)
@@ -268,33 +258,27 @@ def _validate_parameters(kind, raw):
         out["Delta"] = _vector(p.get("Delta", [-0.1, 0.1]), "parameters.Delta", 2).tolist()
         out["gamma"] = _vector(p.get("gamma", [1.0, 1.0]), "parameters.gamma", 2).tolist()
         rho0 = p.get("rho0", "ground")
-        if rho0 != "ground":
-            m = _matrix(rho0, "parameters.rho0", rows=4, cols=4)
-            out["rho0"] = m.tolist()
-        else:
-            out["rho0"] = "ground"
+        out["rho0"] = rho0 if rho0 == "ground" else _matrix(
+            rho0, "parameters.rho0", rows=4, cols=4).tolist()
     elif kind == "spin_chain":
         _reject_unknown(p, {"N", "lambda", "perturbed_coupling",
                             "excitation_site", "fit_window"}, "parameters")
-        N = _want(p.get("N"), "parameters.N", int, 2)
+        N = _number(p.get("N"), "parameters.N", 2, int)
         if N < 2:
             raise ConfigError("parameters.N", "chain needs at least 2 sites")
         if N > MAX_CHAIN_SITES:
             raise ConfigError("parameters.N", f"{N} sites exceed the chain bound "
                                               f"MAX_CHAIN_SITES = {MAX_CHAIN_SITES}")
         out["N"] = N
-        out["lambda"] = float(_want(p.get("lambda"), "parameters.lambda",
-                                    (int, float), np.pi / 5))
+        out["lambda"] = float(_number(p.get("lambda"), "parameters.lambda", np.pi / 5))
         if out["lambda"] <= 0:
             raise ConfigError("parameters.lambda", "must be positive")
-        pc = _want(p.get("perturbed_coupling"), "parameters.perturbed_coupling",
-                   int, 1)
+        pc = _number(p.get("perturbed_coupling"), "parameters.perturbed_coupling", 1, int)
         if not 1 <= pc <= N - 1:
             raise ConfigError("parameters.perturbed_coupling",
                               f"must be in 1..{N - 1}")
         out["perturbed_coupling"] = pc
-        site = _want(p.get("excitation_site"), "parameters.excitation_site",
-                     int, 1)
+        site = _number(p.get("excitation_site"), "parameters.excitation_site", 1, int)
         if not 1 <= site <= N:
             raise ConfigError("parameters.excitation_site", f"must be in 1..{N}")
         out["excitation_site"] = site
@@ -315,8 +299,7 @@ def _validate_parameters(kind, raw):
         if p.get("b") is not None:
             out["b"] = _vector(p["b"], "parameters.b", size=n).tolist()
         out.update(A1=A1.tolist(), S=S.tolist(), c=c.tolist(), v=v.tolist())
-        out["xi0"] = float(_want(p.get("xi0"), "parameters.xi0", (int, float),
-                                 1.0))
+        out["xi0"] = float(_number(p.get("xi0"), "parameters.xi0", 1.0))
     out["fit_window"] = _window(p.get("fit_window"), "parameters.fit_window",
                                 _KIND_DEFAULTS[kind][1])
     return out
@@ -326,10 +309,9 @@ def validate_config(raw) -> ScenarioConfig:
     """Validate a raw JSON document, filling and echoing all defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
-    _refuse_non_finite(raw)
     _reject_unknown(raw, {"schema_version", "kind", "parameters", "grid",
                           "method", "outputs", "seed"}, "")
-    ver = _want(raw.get("schema_version"), "schema_version", int, SCHEMA_VERSION)
+    ver = _number(raw.get("schema_version"), "schema_version", SCHEMA_VERSION, int)
     if ver != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {ver}")
     kind = _want(raw.get("kind"), "kind", str, required=True)
@@ -340,9 +322,9 @@ def validate_config(raw) -> ScenarioConfig:
     g = _want(raw.get("grid"), "grid", dict, {})
     _reject_unknown(g, {"t_start", "t_end", "dt"}, "grid")
     gd = _KIND_DEFAULTS[kind][0]
-    t_start = float(_want(g.get("t_start"), "grid.t_start", (int, float), gd[0]))
-    t_end = float(_want(g.get("t_end"), "grid.t_end", (int, float), gd[1]))
-    dt = float(_want(g.get("dt"), "grid.dt", (int, float), gd[2]))
+    t_start = float(_number(g.get("t_start"), "grid.t_start", gd[0]))
+    t_end = float(_number(g.get("t_end"), "grid.t_end", gd[1]))
+    dt = float(_number(g.get("dt"), "grid.dt", gd[2]))
     if dt <= 0:
         raise ConfigError("grid.dt", "must be positive")
     if t_start < 0 or t_end <= t_start:
@@ -369,7 +351,9 @@ def validate_config(raw) -> ScenarioConfig:
     if os.path.normpath(outputs["trace_csv"]) == os.path.normpath(outputs["report_json"]):
         raise ConfigError("outputs.report_json", "names the same file as "
                                                  "outputs.trace_csv")
-    seed = _want(raw.get("seed"), "seed", int, 0)
+    seed = _number(raw.get("seed"), "seed", 0, int)
+    if seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     return ScenarioConfig(kind=kind, parameters=params,
                           grid=(t_start, t_end, dt), method=method,
                           outputs=outputs, seed=seed)
@@ -395,36 +379,40 @@ def build_system(cfg: ScenarioConfig):
 
     Returns (ErrorSystem, coupling_vec, notes): ``coupling_vec`` is the vector
     the modal couplings are built from (A0^{-1} b for tracking loops, the
-    initial Bloch vector for free response).
+    initial Bloch vector for free response).  A ``ValueError`` of a builder
+    (poles, ``rho0``, steady state, stability) is a ``ConfigError``.
     """
     p = cfg.parameters
     notes = {}
-    if cfg.kind in _LOOPS:
-        poles = [_pole_value(x, f"parameters.poles[{i}]")
-                 for i, x in enumerate(p["poles"])]
-        if cfg.kind == "rlc" and any(abs(z.imag) > 0 for z in poles):
-            notes["rlc_lambda3"] = sorted(z.real for z in poles)[0]
-        loop, sys = close_loop(_LOOPS[cfg.kind][0](p["xi0"]), poles)
-        return sys, loop.beta, notes
-    if cfg.kind == "two_qubit":
-        rho0 = None if p["rho0"] == "ground" else np.asarray(p["rho0"],
-                                                             dtype=complex)
-        model, sys = two_qubit_scenario(alpha=p["alpha"], Delta=p["Delta"],
-                                        gamma=p["gamma"],
-                                        perturbation=p["perturbation"],
-                                        rho0=rho0)
-        notes["steady_state_purity"] = float(model.r_ss @ model.r_ss)
+    try:
+        if cfg.kind in _LOOPS:
+            poles = [_pole_value(x, f"parameters.poles[{i}]")
+                     for i, x in enumerate(p["poles"])]
+            if cfg.kind == "rlc" and any(abs(z.imag) > 0 for z in poles):
+                notes["rlc_lambda3"] = sorted(z.real for z in poles)[0]
+            loop, sys = close_loop(_LOOPS[cfg.kind][0](p["xi0"]), poles)
+            return sys, loop.beta, notes
+        if cfg.kind == "two_qubit":
+            rho0 = None if p["rho0"] == "ground" else np.asarray(p["rho0"], dtype=complex)
+            model, sys = two_qubit_scenario(alpha=p["alpha"], Delta=p["Delta"],
+                                            gamma=p["gamma"],
+                                            perturbation=p["perturbation"], rho0=rho0)
+            notes["steady_state_purity"] = float(model.r_ss @ model.r_ss)
+            return sys, sys.v, notes
+        if cfg.kind == "spin_chain":
+            model, sys = spin_chain_scenario(p["N"], lam=p["lambda"],
+                                             perturbed_coupling=p["perturbed_coupling"],
+                                             excitation_site=p["excitation_site"])
+            return sys, sys.v, notes
+        A1 = np.asarray(p["A1"], dtype=float)
+        S = np.asarray(p["S"], dtype=float)
+        sys = ErrorSystem(A0=A1 + p["xi0"] * S, S=S, c=np.asarray(p["c"]),
+                          v=np.asarray(p["v"]), xi0=p["xi0"])
         return sys, sys.v, notes
-    if cfg.kind == "spin_chain":
-        model, sys = spin_chain_scenario(p["N"], lam=p["lambda"],
-                                         perturbed_coupling=p["perturbed_coupling"],
-                                         excitation_site=p["excitation_site"])
-        return sys, sys.v, notes
-    A1 = np.asarray(p["A1"], dtype=float)
-    S = np.asarray(p["S"], dtype=float)
-    sys = ErrorSystem(A0=A1 + p["xi0"] * S, S=S, c=np.asarray(p["c"]),
-                      v=np.asarray(p["v"]), xi0=p["xi0"])
-    return sys, sys.v, notes
+    except np.linalg.LinAlgError:  # a ValueError too, but the solver's
+        raise
+    except ValueError as e:
+        raise ConfigError("parameters", str(e)) from e
 
 
 # -- serialization -------------------------------------------------------------
@@ -606,6 +594,9 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
                                       f"(cond_M = {spec.cond_M:.2e})"}
     used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
     pairs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in used})
+    for pair, dev in pairs.items():
+        if not math.isfinite(dev):
+            raise ArithmeticError(f"oracle check: {pair} deviation is {dev!r}")
     return dict(out, methods=used, pairs=pairs, max_rel_deviation=max(pairs.values()))
 
 

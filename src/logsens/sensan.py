@@ -533,7 +533,6 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     re_max = max(lam[m].real for m in kept)
     dom = [m for m in kept if lam[m].real >= re_max - tol_dom]
     sigma = float(max(0.0, -re_max))
-    freqs = sorted({abs(lam[m].imag) for m in dom if abs(lam[m].imag) > tol_dom})
 
     # Modes the readout/state still weight (zw above tolerance) shape the
     # denominator even when their structure couplings vanish.  One strictly
@@ -549,7 +548,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     axis = [m for m in zw_active if lam[m].real >= re_max - tol_dom]
     axis_freqs = sorted({abs(lam[m].imag) for m in axis if abs(lam[m].imag) > tol_dom})
 
-    if not freqs and not axis_freqs:
+    if not axis_freqs:
         # dominant modes are one (possibly repeated, diagonalizable) real eigenvalue
         if len(dom) == 1:
             m = dom[0]
@@ -587,8 +586,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
             constants={"a0": a0, "b0": b0},
         )
 
-    all_freqs = sorted(set(freqs) | set(axis_freqs))
-    omega0 = all_freqs[0] if len(all_freqs) == 1 else _rational_fundamental(all_freqs)
+    omega0 = axis_freqs[0] if len(axis_freqs) == 1 else _rational_fundamental(axis_freqs)
     if omega0 is None:
         return DivergenceClassification(
             kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
@@ -687,21 +685,26 @@ def detect_spikes(tr: SensitivityTrace) -> np.ndarray:
     candidates = []
     sign = np.sign(e)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    # samples a tangential dip may not sit on: the flips' own, and those
+    # within one of a candidate
+    near = np.zeros(n, dtype=bool)
+    near[flips] = near[flips + 1] = True
     # flips in adjacent intervals share a sample: a tangential zero whose
     # sample rounded to the other sign is one candidate, not two
     runs = np.split(flips, np.flatnonzero(np.diff(flips) > 1) + 1) if len(flips) else []
     for run in runs:
         tstar = t[run] - e[run] * (t[run + 1] - t[run]) / (e[run + 1] - e[run])
         span = np.arange(run[0], run[-1] + 2)
-        candidates.append((int(span[np.argmin(abse[span])]), float(np.mean(tstar))))
+        k = int(span[np.argmin(abse[span])])
+        near[max(0, k - 1):k + 2] = True
+        candidates.append((k, float(np.mean(tstar))))
     # tangential dips (covers masked samples, which are near-zeros of |e|)
     dip = np.nonzero(
         (abse[1:-1] <= abse[:-2]) & (abse[1:-1] <= abse[2:])
         & ((abse[1:-1] < abse[:-2]) | (abse[1:-1] < abse[2:]))
     )[0] + 1
-    flip_idx = set(int(k) for k in flips) | set(int(k) + 1 for k in flips)
     for j in dip:
-        if j in flip_idx or any(abs(j - k) <= 1 for k, _ in candidates):
+        if near[j]:
             continue
         lo, hi = max(0, j - win), min(n, j + win + 1)
         if abse[j] > SPIKE_DIP_FRAC * np.max(abse[lo:hi]):
@@ -711,6 +714,7 @@ def detect_spikes(tr: SensitivityTrace) -> np.ndarray:
         shift = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
         shift = min(1.0, max(-1.0, shift))
         candidates.append((j, float(t[j] + shift * (t[j + 1] - t[j]))))
+        near[j + 1] = True  # dips come in increasing order: j - 1 is past
 
     out = []
     logs = np.abs(tr.logsens)

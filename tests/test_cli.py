@@ -1,11 +1,13 @@
 """Tests for config validation, scenario runs, file outputs and exit codes."""
 
 import concurrent.futures
+import copy
 import errno
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import stat
 import tempfile
@@ -1026,14 +1028,59 @@ class TestMainExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_numerical_failure_is_1(self, tmp_path, capsys):
-        # schema-valid but dynamically unstable custom system
-        cfg = self.write(tmp_path, {
-            "kind": "custom",
-            "parameters": {"A1": [[1.0]], "S": [[0.0]], "c": [1.0],
-                           "v": [1.0], "xi0": 1.0},
-        })
+        # a schema-valid chain whose coupling overflows the trace: the
+        # spot check's deviation is NaN, so nothing is written
+        cfg = self.write(tmp_path, {"kind": "spin_chain", "parameters": {"lambda": 1e300},
+                                    "grid": {"t_end": 5.0}})
         assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
-        assert "numerical failure" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: oracle check: "
+                                "analytic_vs_blockaug deviation is nan\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("parameters, message", [
+        ({"kind": "spring_mass", "parameters": {"poles": [[-1.0, 1.0], [-1.0, 1.0]]}},
+         "pole set must be closed under conjugation"),
+        ({"kind": "rlc", "parameters": {"poles": [1.0, -2.0]}},
+         "requested poles must satisfy Re <= 0"),
+        ({"kind": "two_qubit", "parameters": {"rho0": [
+            [0.5, 0.5, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}},
+         "rho is not Hermitian within tolerance"),
+        ({"kind": "two_qubit", "parameters": {"rho0": [[0] * 4] * 4}},
+         "rho must have unit trace"),
+        ({"kind": "two_qubit", "parameters": {"gamma": [0, 0]}},
+         "zero eigenvalue of A+L has multiplicity 6, need 1"),
+        ({"kind": "custom", "parameters": {"A1": [[1.0]], "S": [[0.0]], "c": [1.0],
+                                           "v": [1.0], "xi0": 1.0}},
+         "A0 must be marginally stable (max Re eig = 1.000e+00)"),
+    ], ids=["poles_not_conjugate", "pole_re_positive", "rho0_not_hermitian",
+            "rho0_zero", "gamma_zero", "custom_unstable"])
+    def test_builder_refusals_are_2(self, tmp_path, capsys, parameters, message):
+        # configs valid field by field that a scenario builder refuses
+        cfg = self.write(tmp_path, parameters)
+        for argv in (["run", cfg, "--out-dir", str(tmp_path)], ["check", cfg]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: parameters: {message}\n"
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_builder_solver_failure_is_1(self, tmp_path, capsys, monkeypatch):
+        # a LinAlgError is a ValueError, but the solver's fault, not the config's
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "spin_chain_scenario", fails)
+        cfg = self.write(tmp_path, {"kind": "spin_chain"})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "seed": -1})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be non-negative, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("where", ["trace", "_csv_blocks"])
     def test_out_of_memory_is_1(self, where, tmp_path, capsys, monkeypatch):
@@ -1220,6 +1267,108 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr().err.startswith(
             "config error: grid.t_end: must be a finite number, got inf")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# A valid config of each kind holding every numeric field it takes.
+NUMBER_BASES = {
+    "spring_mass": {"kind": "spring_mass", "parameters": {
+        "xi0": 4.0, "poles": [-2.0, [-5.0, 0.0]], "fit_window": [1.0, 5.0]}},
+    "rlc": {"kind": "rlc", "parameters": {
+        "xi0": 0.5, "poles": [[-2.0, 0.3], [-2.0, -0.3], -4.0], "fit_window": [1.0, 5.0]}},
+    "two_qubit": {"kind": "two_qubit", "parameters": {
+        "alpha": [1.0, 1.0], "Delta": [-0.1, 0.1], "gamma": [1.0, 1.0],
+        "rho0": [[1.0 if i == j == 0 else 0.0 for j in range(4)] for i in range(4)],
+        "fit_window": [1.0, 5.0]}},
+    "spin_chain": {"kind": "spin_chain", "parameters": {
+        "N": 3, "lambda": 0.6, "perturbed_coupling": 1, "excitation_site": 1,
+        "fit_window": [1.0, 5.0]}},
+    "custom": {"kind": "custom", "parameters": dict(CUSTOM, b=[0.0, 1.0],
+                                                    fit_window=[1.0, 5.0])},
+}
+for _base in NUMBER_BASES.values():
+    _base.update(schema_version=1, seed=0, grid={"t_start": 0.0, "t_end": 5.0, "dt": 0.5})
+
+# Each kind's numeric fields (the element paths of vectors, matrices and
+# poles) and the type each takes; every kind reads the shared ones.
+INT_FIELDS = {"schema_version", "seed", "parameters.N", "parameters.perturbed_coupling",
+              "parameters.excitation_site"}
+SHARED_FIELDS = ["schema_version", "seed", "grid.t_start", "grid.t_end", "grid.dt",
+                 "parameters.fit_window[0]", "parameters.fit_window[1]"]
+NUMBER_FIELDS = [(kind, field) for kind in NUMBER_BASES for field in SHARED_FIELDS] + [
+    ("spring_mass", f) for f in ("parameters.xi0", "parameters.poles[0]",
+                                 "parameters.poles[1][0]", "parameters.poles[1][1]")
+] + [
+    ("rlc", f) for f in ("parameters.xi0", "parameters.poles[0][0]",
+                         "parameters.poles[1][1]", "parameters.poles[2]")
+] + [
+    ("two_qubit", f) for f in ("parameters.alpha[0]", "parameters.Delta[1]",
+                               "parameters.gamma[0]", "parameters.rho0[0][0]",
+                               "parameters.rho0[2][3]")
+] + [
+    ("spin_chain", f) for f in ("parameters.N", "parameters.lambda",
+                                "parameters.perturbed_coupling", "parameters.excitation_site")
+] + [
+    ("custom", f) for f in ("parameters.A1[0][0]", "parameters.A1[1][0]",
+                            "parameters.S[1][1]", "parameters.b[1]", "parameters.c[0]",
+                            "parameters.v[1]", "parameters.xi0")
+]
+
+# Bad values by name; null is tried only inside lists, where it cannot mean
+# "use the default".
+BAD_NUMBERS = {"true": True, "NaN": math.nan, "Infinity": math.inf,
+               "-Infinity": -math.inf, "10**400": 10 ** 400, "string": "1",
+               "null": None}
+
+
+def _put(doc, path, value):
+    """Set the field at a dotted/indexed ``path`` of a config document."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def _refusal(field, name):
+    """The message ``field`` holding ``BAD_NUMBERS[name]`` is refused with."""
+    types = "int" if field in INT_FIELDS else "int/float"
+    scalar_pole = re.fullmatch(r"parameters\.poles\[\d\]", field)
+    return {"true": f"expected {types}, got bool",
+            "NaN": "must be a finite number, got nan",
+            "Infinity": "must be a finite number, got inf",
+            "-Infinity": "must be a finite number, got -inf",
+            "10**400": "must be a finite number, got an integer past the float range",
+            "string": ("pole must be a number or [re, im] pair" if scalar_pole
+                       else f"expected {types}, got str"),
+            "null": ("pole must be a number or [re, im] pair" if scalar_pole
+                     else "required field missing")}[name]
+
+
+class TestNumberReader:
+    """Every numeric config field is read by one reader, which refuses
+    bools, non-finite numbers, integers past the float range and
+    non-numbers (and nulls inside lists), naming the field."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("kind", sorted(NUMBER_BASES))
+    def test_bases_are_valid(self, kind):
+        validate_config(copy.deepcopy(NUMBER_BASES[kind]))
+
+    @pytest.mark.parametrize("kind, field", NUMBER_FIELDS,
+                             ids=[f"{k}-{f}" for k, f in NUMBER_FIELDS])
+    def test_bad_value_refused_by_field(self, kind, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        for name, value in BAD_NUMBERS.items():
+            if value is None and "[" not in field:
+                continue  # a null scalar reads as absent
+            doc = copy.deepcopy(NUMBER_BASES[kind])
+            _put(doc, field, value)
+            cfg = self.write(tmp_path, doc)
+            assert main(["run", cfg, "--out-dir", str(out)]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {field}: {_refusal(field, name)}\n", name
+            assert captured.out == ""
+        assert not out.exists()
 
 
 class TestChainBound:

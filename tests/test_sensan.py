@@ -1225,3 +1225,96 @@ class TestDetectSpikes:
         spikes = detect_spikes(trace(build_system(cfg)[0], cfg.grid_times()))
         spikes = spikes[(spikes >= 5.0) & (spikes <= np.log(1e300) / 2)]
         np.testing.assert_allclose(spikes, 10.49 + 10.0 * np.arange(34), atol=0.05)
+
+
+def reference_detect_spikes(tr):
+    """``detect_spikes`` as it was with a per-dip rescan of the candidates,
+    kept to pin the spikes the ``near`` array gives."""
+    from logsens.sensan import SPIKE_DIP_FRAC, SPIKE_PROMINENCE_DECADES
+    if len(tr) < 3:
+        return np.array([])
+    t, e = tr.times, tr.error
+    n = len(t)
+    abse = np.abs(e)
+    win = max(5, int(round(0.02 * n)))
+    candidates = []
+    sign = np.sign(e)
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    runs = np.split(flips, np.flatnonzero(np.diff(flips) > 1) + 1) if len(flips) else []
+    for run in runs:
+        tstar = t[run] - e[run] * (t[run + 1] - t[run]) / (e[run + 1] - e[run])
+        span = np.arange(run[0], run[-1] + 2)
+        candidates.append((int(span[np.argmin(abse[span])]), float(np.mean(tstar))))
+    dip = np.nonzero(
+        (abse[1:-1] <= abse[:-2]) & (abse[1:-1] <= abse[2:])
+        & ((abse[1:-1] < abse[:-2]) | (abse[1:-1] < abse[2:]))
+    )[0] + 1
+    flip_idx = set(int(k) for k in flips) | set(int(k) + 1 for k in flips)
+    for j in dip:
+        if j in flip_idx or any(abs(j - k) <= 1 for k, _ in candidates):
+            continue
+        lo, hi = max(0, j - win), min(n, j + win + 1)
+        if abse[j] > SPIKE_DIP_FRAC * np.max(abse[lo:hi]):
+            continue
+        y0, y1, y2 = abse[j - 1], abse[j], abse[j + 1]
+        denom = y0 - 2 * y1 + y2
+        shift = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
+        shift = min(1.0, max(-1.0, shift))
+        candidates.append((j, float(t[j] + shift * (t[j + 1] - t[j]))))
+    out = []
+    logs = np.abs(tr.logsens)
+    for j, tstar in sorted(candidates, key=lambda c: c[1]):
+        lo, hi = max(0, j - win), min(n, j + win + 1)
+        nearby = logs[max(0, j - 2):j + 3]
+        nearby = nearby[np.isfinite(nearby) & (nearby > 0)]
+        if len(nearby) == 0:
+            out.append(tstar)
+            continue
+        peak = float(np.max(nearby))
+        base = logs[lo:hi]
+        base = base[np.isfinite(base) & (base > 0)]
+        baseline = float(np.median(base)) if len(base) else 0.0
+        if baseline <= 0 or np.log10(peak / baseline) >= SPIKE_PROMINENCE_DECADES:
+            out.append(tstar)
+    return np.array(out)
+
+
+def random_spike_trace(rng, n):
+    """A trace of ``n`` samples on an uneven grid: a few modes, some
+    touching zero without crossing, single samples whose sign flips (flips
+    in adjacent intervals), masked runs, and NaN/+-inf log-sensitivity."""
+    t = np.cumsum(rng.uniform(0.005, 0.1, n))
+    modes = rng.integers(1, 4)
+    e = sum(rng.uniform(0.2, 1.0) * np.cos(rng.uniform(0.5, 30.0) * t + rng.uniform(0, 6))
+            for _ in range(modes))
+    if rng.random() < 0.4:
+        e = np.abs(e)  # tangential zeros only
+    if n:
+        e[rng.integers(0, n, rng.integers(0, 1 + n // 10))] *= -1
+        e[rng.integers(0, n, rng.integers(0, 1 + n // 20))] = 0.0
+    de = rng.standard_normal(n)
+    mask = np.abs(e) <= rng.choice([0.0, 1e-3, 0.05])
+    for _ in range(rng.integers(0, 3)):
+        lo = rng.integers(0, max(n, 1))
+        mask[lo:lo + rng.integers(1, 20)] = True
+    s = np.where(mask, np.nan, de / np.where(e == 0.0, 1.0, e))
+    bad = rng.integers(0, max(n, 1), rng.integers(0, 1 + n // 15)) if n else []
+    s[bad] = rng.choice([np.nan, np.inf, -np.inf], len(bad))
+    return SensitivityTrace(t, e, de, s, mask)
+
+
+class TestDetectSpikesReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_short_traces(self, n):
+        tr = random_spike_trace(np.random.default_rng(n), n)
+        np.testing.assert_array_equal(detect_spikes(tr), reference_detect_spikes(tr))
+
+    def test_random_signals_match(self):
+        rng = np.random.default_rng(16)
+        spikes = 0
+        for _ in range(400):
+            tr = random_spike_trace(rng, int(rng.integers(3, 400)))
+            got = detect_spikes(tr)
+            np.testing.assert_array_equal(got, reference_detect_spikes(tr))
+            spikes += len(got)
+        assert spikes > 1000
