@@ -9,7 +9,7 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure (a non-finite oracle deviation included), out of memory, a CSV
+failure (a trace with a non-finite e or de/dxi included), out of memory, a CSV
 worker process that died or an output that cannot be written (each with
 one line on stderr), 2 config error (so are a non-finite number or a bool
 where a number belongs, a config a scenario builder refuses, a grid over
@@ -18,7 +18,7 @@ where a number belongs, a config a scenario builder refuses, a grid over
 or name one file twice).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
-one numpy/scipy/BLAS build and BLAS thread count: no timestamps, sorted
+one numpy/BLAS build and BLAS thread count: no timestamps, sorted
 report keys, shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
@@ -582,10 +582,23 @@ def _path_deviations(vals: dict) -> dict:
             for i, a in enumerate(methods) for b in methods[i + 1:]}
 
 
+def _finite(tr, what):
+    """``tr``, or an ``ArithmeticError`` naming ``what`` when its e or de/dxi
+    holds a non-finite value: an overflow in the trace, which the spike
+    mask would hide (a max |e| of inf masks every sample)."""
+    for name, x in (("e", tr.error), ("de/dxi", tr.derror)):
+        bad = len(x) - np.count_nonzero(np.isfinite(x))
+        if bad:
+            raise ArithmeticError(f"{what}: {bad} of {len(x)} {name} values "
+                                  "are not finite")
+    return tr
+
+
 def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
     """Compare the first ``keep`` (default all) applicable paths of
     ``methods`` (``methods``) by one ``trace`` each over the sorted times
-    ``ts``: each pair's ``_path_deviations`` (``pairs``), their largest
+    ``ts``, each refused unless finite (``_finite``): each pair's
+    ``_path_deviations`` (``pairs``), their largest
     (``max_rel_deviation``), and any path left out and why (``skipped``:
     the analytic path refuses a near-defective spectrum)."""
     spec, out = sys_.spectrum(), {}
@@ -593,7 +606,9 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
         out["skipped"] = {"analytic": f"spectrum is near-defective "
                                       f"(cond_M = {spec.cond_M:.2e})"}
     used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
-    pairs = _path_deviations({m: trace(sys_, ts, method=m).derror for m in used})
+    pairs = _path_deviations({
+        m: _finite(trace(sys_, ts, method=m), f"oracle check: {m} trace").derror
+        for m in used})
     for pair, dev in pairs.items():
         if not math.isfinite(dev):
             raise ArithmeticError(f"oracle check: {pair} deviation is {dev!r}")
@@ -616,7 +631,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     return the report as the plain dict written to ``report.json``."""
     sys_, coupling_vec, notes = build_system(cfg)
     times = cfg.grid_times()
-    tr = trace(sys_, times, method=cfg.method)
+    tr = _finite(trace(sys_, times, method=cfg.method), f"{cfg.method} trace")
     spec = sys_.spectrum()
     coup = couplings(spec, sys_.S, sys_.c, coupling_vec)
     cls = classify(spec, coup, sys_.xi0)

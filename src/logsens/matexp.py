@@ -16,7 +16,10 @@ which this module evaluates four independent ways:
 plus a central finite-difference cross-check (``dderiv_oracle_fd``).  The
 analytic paths require an eigendecomposition with deterministic ordering,
 provided by ``eig_decompose``; hand-built defective systems supply their
-Jordan data through ``Spectrum.from_jordan``.
+Jordan data through ``Spectrum.from_jordan``.  The oracles' matrix
+exponentials come from ``expm``, a numpy-only scaling and squaring over a
+stack of matrices, so the program loads one BLAS (numpy's) and one thread
+pool; the tests check it against ``scipy.linalg.expm``.
 
 The matrix-valued ``dderiv_*`` functions are the reference API, checked
 against each other at single times by the acceptance suite.  Every value
@@ -34,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "Spectrum",
@@ -48,6 +50,7 @@ __all__ = [
     "dderiv_oracle_blockaug",
     "dderiv_oracle_fd",
     "QuadratureWarning",
+    "expm",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -393,6 +396,90 @@ def dderiv_jordan(spec: Spectrum, Sbar, t: float) -> np.ndarray:
     return _require_real(D, 1e-9, "dderiv_jordan")
 
 
+def _pade_table():
+    """Higham (2005), Table 2.3: per degree m = 3, 5, 7, 9, 13, the largest
+    1-norm ``theta_m`` at which the [m/m] Pade approximant of exp has
+    backward error below unit roundoff, and the coefficient rows that give
+    its numerator's parts from the powers ``I, A^2, A^4, ...``: for m <= 9,
+    the odd part over A and the even part; for m = 13, the two parts as
+    ``A6 @ row0 + row1`` (odd, over A) and ``A6 @ row2 + row3`` (even)."""
+    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0)
+    low = ((1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+           (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+           (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                                   25200.0, 1512.0, 56.0, 1.0)),
+           (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                                  302702400.0, 30270240.0, 2162160.0, 110880.0,
+                                  3960.0, 90.0, 1.0)))
+    table = [(theta, np.array([c[1::2], c[::2]])) for theta, c in low]
+    return table + [(5.371920351148152e0, np.array(
+        [(0.0,) + b[9::2], b[1:9:2], (0.0,) + b[8::2], b[0:8:2]]))]
+
+
+_PADE = _pade_table()
+
+
+def _halvings(x):
+    """The least s >= 0 with x / 2**s <= 1; 0 for a non-finite x."""
+    frac, s = math.frexp(x)
+    return max(s - (frac == 0.5), 0)
+
+
+def expm(A):
+    """Matrix exponential of each real matrix of a ``(..., n, n)`` stack.
+
+    Scaling and squaring with a diagonal Pade approximant (Higham, *SIAM J.
+    Matrix Anal. Appl.* 26(4), 2005).  Each matrix is scaled by its own
+    ``2**-s``, the least with 1-norm ``/ 2**s <= theta_13``; one degree m
+    serves the whole call, the least whose ``theta_m`` holds the largest
+    scaled norm, so a stack of small norms costs few products.  The stack
+    is evaluated at once by batched ``@`` and ``np.linalg.solve``, and each
+    squaring takes only the matrices whose ``s`` is not used up, so a matrix
+    in a stack comes out bit for bit as alone whenever it alone picks the
+    same degree.  Overflow gives inf or NaN entries without a warning; a
+    matrix with a non-finite 1-norm gives NaN.
+    """
+    A = np.asarray(A, dtype=float)
+    shape = A.shape
+    if A.ndim < 2 or shape[-2] != shape[-1]:
+        raise ValueError(f"expm needs a stack of square matrices, got shape {shape}")
+    if A.size == 0:
+        return A.copy()
+    n = shape[-1]
+    A = A.reshape(-1, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(A).sum(axis=1).max(axis=1).tolist()
+        s = [_halvings(x / _PADE[-1][0]) for x in norm]
+        if any(s):
+            A = np.ldexp(A, -np.array(s)[:, None, None])
+        top = max(math.ldexp(x, -k) for x, k in zip(norm, s))
+        C = next((C for theta, C in _PADE if top <= theta), _PADE[-1][1])
+        P = np.empty((len(A), C.shape[1], n, n))
+        P[:, 0] = np.eye(n)
+        P[:, 1] = A @ A
+        for j in range(2, C.shape[1]):
+            P[:, j] = P[:, j - 1] @ P[:, 1]
+        W = (C @ P.reshape(len(A), C.shape[1], n * n)).reshape(len(A), -1, n, n)
+        if len(C) == 2:
+            U, V = A @ W[:, 0], W[:, 1]
+        else:
+            U = A @ (P[:, 3] @ W[:, 0] + W[:, 1])
+            V = P[:, 3] @ W[:, 2] + W[:, 3]
+        R = np.linalg.solve(V - U, V + U)
+        for k in range(max(s)):
+            if k < min(s):
+                R = R @ R
+            else:
+                sq = np.array(s) > k
+                R[sq] = R[sq] @ R[sq]
+    if not all(map(math.isfinite, norm)):
+        R[~np.isfinite(norm)] = np.nan
+    return R.reshape(shape)
+
+
 class QuadratureWarning(RuntimeWarning):
     """The quadrature oracle missed ``abs_tol``; ``achieved`` is its error
     estimate."""
@@ -421,11 +508,13 @@ def dderiv_oracle_quadrature(A, S, t: float, abs_tol: float = 1e-10,
     of the integrand on that panel (halving cannot improve past double
     precision).  Deterministic for fixed inputs.  If the requested tolerance
     was not reached, the achieved error estimate is reported via a
-    ``QuadratureWarning``.
+    ``QuadratureWarning``; a non-finite estimate (an overflow) gives NaN.
 
     Panels are dyadic, ``[a, b] = [i, i + 1] t / 2**depth``.  A node
     ``tau = a + h (1 + x)`` splits ``exp(tau A) = exp(a A) exp(h (1 + x) A)``
     (and ``t - tau`` alike from b): offsets are exponentiated once per depth.
+    A panel carries its ends ``exp((t - b) A)`` and ``exp(a A)``; halving it
+    exponentiates only the midpoint's pair, and each half keeps one end.
     """
     A, S = _oracle_input(A, S, t)
     Q, miss = _quadrature(A, S, t, abs_tol, max_panels)
@@ -446,20 +535,21 @@ def _quadrature(A, S, t, abs_tol=1e-10, max_panels=2 ** 16):
     total = np.zeros((n, n))
     achieved = 0.0
     panels_used = 0
-    stack = [(0, 0)]
+    stack = [(0, 0, np.eye(n), np.eye(n))]  # (i, depth, left, right)
     tol_met = True
     while stack:
-        i, depth = stack.pop()
+        i, depth, left, right = stack.pop()
         width = t / 2 ** depth
-        a, b, half = i * width, (i + 1) * width, 0.5 * width
+        half = 0.5 * width
         if depth not in inner:
             E = expm((half * (1.0 + _GL_NODES))[:, None, None] * A[None])
             inner[depth] = E[_GL_MIRROR] @ S @ E
-        left, right = expm(np.stack([(t - b) * A, a * A]))
         F = left @ inner[depth] @ right
         coarse = half * np.einsum("i,ijk->jk", _GL7[1], F[:7])
         fine = half * np.einsum("i,ijk->jk", _GL15[1], F[7:])
         err = float(np.max(np.abs(fine - coarse)))
+        if not math.isfinite(err):  # an overflow, which halving cannot mend
+            return np.full((n, n), np.nan), None
         panels_used += 1
         share = abs_tol / 2 ** depth
         floor = 16.0 * eps * float(np.max(np.abs(F))) * width
@@ -468,8 +558,10 @@ def _quadrature(A, S, t, abs_tol=1e-10, max_panels=2 ** 16):
             achieved += err
             tol_met = tol_met and err <= max(share, floor)
         else:
-            stack.append((2 * i + 1, depth + 1))
-            stack.append((2 * i, depth + 1))
+            mid = (2 * i + 1) * (t / 2 ** (depth + 1))
+            to_end, to_mid = expm(np.stack([(t - mid) * A, mid * A]))
+            stack.append((2 * i + 1, depth + 1, left, to_mid))
+            stack.append((2 * i, depth + 1, to_end, right))
     if not tol_met or achieved > abs_tol:
         return total, QuadratureWarning(
             f"quadrature tolerance {abs_tol:.1e} not reached "
@@ -482,7 +574,7 @@ def dderiv_oracle_blockaug(A, S, t: float) -> np.ndarray:
     """D_S(t, A) via the block-augmented exponential identity.
 
     The upper-right block of ``expm(t*[[A, S], [0, A]])`` equals the defining
-    integral; scipy's scaling-and-squaring expm does the work.
+    integral; ``expm`` is this module's scaling and squaring.
     """
     A, S = _oracle_input(A, S, t)
     n = A.shape[0]

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .matexp import (
     Couplings,
@@ -31,6 +30,7 @@ from .matexp import (
     _refuse_imaginary,
     couplings,
     eig_decompose,
+    expm,
 )
 
 __all__ = [
@@ -275,6 +275,7 @@ def log_sensitivity(sys: ErrorSystem, t: float) -> float:
     return float(trace(sys, [t]).logsens[0])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def trace(sys: ErrorSystem, grid, method: str = "analytic",
           spectrum: Spectrum | None = None) -> SensitivityTrace:
     """Sample e, de/dxi and s(xi0, t) on a time grid.
@@ -294,7 +295,8 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     oracle's operator over the exact, near-zero remainder.  ``_quadrature``
     returns a missed tolerance as a value; the misses are reported in one
     ``RuntimeWarning`` per trace, each sample charged with the error
-    estimates of every quadrature it was stepped through.
+    estimates of every quadrature it was stepped through.  An overflow
+    comes out as inf or NaN values, without a floating-point warning.
     """
     times = np.asarray(grid, dtype=float).reshape(-1)
     if len(times) == 0:

@@ -10,6 +10,8 @@ import os
 import re
 import signal
 import stat
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
@@ -1028,16 +1030,24 @@ class TestMainExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_numerical_failure_is_1(self, tmp_path, capsys):
-        # a schema-valid chain whose coupling overflows the trace: the
-        # spot check's deviation is NaN, so nothing is written
-        cfg = self.write(tmp_path, {"kind": "spin_chain", "parameters": {"lambda": 1e300},
-                                    "grid": {"t_end": 5.0}})
-        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ("numerical failure: oracle check: "
-                                "analytic_vs_blockaug deviation is nan\n")
-        assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        # schema-valid chains whose coupling overflows a trace: the first
+        # trace with a non-finite e or de/dxi is refused in one line, with
+        # no floating-point warning (an error under this suite's filter),
+        # and nothing is written
+        short = {"kind": "spin_chain", "parameters": {"lambda": 1e300},
+                 "grid": {"t_end": 5.0}}
+        n3 = {"kind": "spin_chain", "parameters": {"lambda": 1e300, "N": 3}}
+        for doc, command, err in (
+                (short, "run", "oracle check: blockaug trace: 5 of 5 e values"),
+                (short, "check", "oracle check: quadrature trace: 19 of 20 e values"),
+                (n3, "run", "analytic trace: 5000 of 5001 e values")):
+            cfg = self.write(tmp_path, doc)
+            argv = [command, cfg] + (["--out-dir", str(tmp_path)] if command == "run" else [])
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"numerical failure: {err} are not finite\n"
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("parameters, message", [
         ({"kind": "spring_mass", "parameters": {"poles": [[-1.0, 1.0], [-1.0, 1.0]]}},
@@ -1487,3 +1497,25 @@ class TestSubUlpSteps:
         rows = int((t_end - t_start) / dt) + 1
         if rows > 1 and (t_end - t_start) / (rows - 1) >= dt:
             assert np.all(np.diff(np.linspace(t_start, t_end, rows)) > 0)
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # the numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    # pool, and the two pools contend for the CPUs: a run loads numpy's only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "two_qubit",
+                               "grid": {"t_end": 2000.0, "dt": 20.0}}))
+    code = ("import sys\n"
+            "import logsens.cli\n"
+            "assert logsens.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code, "run", str(cfg),
+                          "--out-dir", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json",
+                                                          "trace.csv"]

@@ -4,6 +4,8 @@ The quadrature and block-augmented evaluations of the defining integral act
 as independent oracles for the analytic (eigenbasis / Jordan) paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import make_jordan_system
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from logsens import matexp
 from logsens.matexp import (
     QuadratureWarning,
     Spectrum,
@@ -398,3 +401,161 @@ class TestCrossPathProperties:
         quad = dderiv_oracle_quadrature(A, S, t, abs_tol=1e-12)
         block = dderiv_oracle_blockaug(A, S, t)
         assert np.max(np.abs(quad - block)) < 1e-11 * max(1.0, np.max(np.abs(block)))
+
+
+U = np.finfo(float).eps
+THETAS = [theta for theta, _ in matexp._PADE]
+
+
+def norm1(X):
+    return float(np.max(np.abs(X).sum(axis=-2), initial=0.0))
+
+
+def degree_band(A):
+    """Index into ``THETAS`` of the Pade degree ``matexp.expm`` picks for A
+    alone: the first theta holding its 1-norm, else the last."""
+    return next((j for j, theta in enumerate(THETAS) if norm1(A) <= theta),
+                len(THETAS) - 1)
+
+
+def make_matrix(kind, n, norm, seed):
+    """An n x n matrix of the given 1-norm: ``dense`` standard normal,
+    ``jordan`` a random diagonal with a superdiagonal of 1..10 (far from
+    normal), ``diagonal``, or ``zero``."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "dense":
+        A = rng.standard_normal((n, n))
+    else:
+        A = np.diag(rng.standard_normal(n))
+        if kind == "jordan":
+            A += np.diag(rng.uniform(1.0, 10.0, n - 1), 1)
+    return A * (norm / max(norm1(A), 1e-300))
+
+
+def assert_close_to_scipy(X, A, bound=4000):
+    """Normwise within ``bound * u * (1 + ||A||_1)`` of scipy's expm.  Both
+    are accurate to about the condition of exp at A times u, which is at
+    least ||A||; scipy's own error, measured against 40-digit mpmath, reaches
+    600 u (1 + ||A||_1) on 2 x 2 matrices of norm 10, where this one stays
+    below 10 u (1 + ||A||_1)."""
+    R = expm(A)
+    assert norm1(X - R) <= bound * U * (1.0 + norm1(A)) * norm1(R)
+
+
+kinds = st.sampled_from(["dense", "jordan", "diagonal", "zero"])
+
+
+class TestExpm:
+    """``matexp.expm`` against ``scipy.linalg.expm``, which implements a
+    different scaling and squaring (Al-Mohy & Higham, 2009)."""
+
+    @settings(max_examples=150)
+    @given(kind=kinds, n=st.integers(1, 12), log_norm=st.floats(-8.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy(self, kind, n, log_norm, seed):
+        A = make_matrix(kind, n, 10.0 ** log_norm, seed)
+        assert_close_to_scipy(matexp.expm(A), A)
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 12), log_norm=st.floats(-8.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_matches_eigh(self, n, log_norm, seed):
+        # exp of a symmetric matrix is V exp(w) V^T, accurate to a few n u
+        A = make_matrix("dense", n, 1.0, seed)
+        A = A + A.T
+        A *= 10.0 ** log_norm / max(norm1(A), 1e-300)
+        w, V = np.linalg.eigh(A)
+        ref = (V * np.exp(w)) @ V.T
+        X = matexp.expm(A)
+        assert norm1(X - ref) <= 100 * U * (1.0 + norm1(A)) * norm1(ref)
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           members=st.lists(st.tuples(kinds, st.floats(-8.0, 2.0)), min_size=2,
+                            max_size=6),
+           band=st.none() | st.integers(0, len(THETAS) - 1))
+    def test_stack_member_as_alone(self, n, seed, members, band):
+        # band None: norms spread over 1e-8..1e2, so the degree the stack
+        # shares may exceed a member's own; else every norm lies in one
+        # degree's band, (THETAS[band - 1], THETAS[band]], up to 1e2 for the
+        # last, and every member picks the stack's degree alone
+        if band is not None:
+            lo = np.log10(THETAS[band - 1]) if band else -8.0
+            hi = np.log10(THETAS[band]) if band < len(THETAS) - 1 else 2.0
+            lo, hi = lo + 1e-9, hi - 1e-9  # strictly inside, despite rounding
+            members = [(kind, lo + (hi - lo) * (x + 8.0) / 10.0)
+                       for kind, x in members]
+        stack = np.array([make_matrix(kind, n, 10.0 ** x, seed + i)
+                          for i, (kind, x) in enumerate(members)])
+        X = matexp.expm(stack)
+        assert X.shape == stack.shape
+        top = max(degree_band(A) for A in stack)
+        for A, Xi in zip(stack, X):
+            alone = matexp.expm(A)
+            if degree_band(A) == top:
+                np.testing.assert_array_equal(Xi, alone)
+            else:  # a higher degree than alone: equal up to rounding
+                assert norm1(Xi - alone) <= 100 * U * (1.0 + norm1(A)) * norm1(alone)
+            assert_close_to_scipy(Xi, A)
+        if band is not None:  # zero matrices aside, all were bit for bit
+            assert all(degree_band(A) == top for A in stack if A.any())
+
+    def test_zero_one_by_one_and_diagonal(self):
+        for n in (1, 3, 12):
+            np.testing.assert_array_equal(matexp.expm(np.zeros((n, n))), np.eye(n))
+        for x in (-700.0, -30.0, -1e-9, 0.0, 1e-300, 0.5, 30.0, 700.0):
+            got = matexp.expm(np.array([[x]]))
+            assert abs(got[0, 0] - np.exp(x)) <= 1e3 * U * np.exp(x)
+        d = np.array([-100.0, -3.0, 0.0, 1e-12, 2.5, 40.0])
+        got = matexp.expm(np.diag(d))
+        np.testing.assert_array_equal(got - np.diag(np.diag(got)), 0.0)
+        np.testing.assert_allclose(np.diag(got), np.exp(d), rtol=1e-13)
+        assert_close_to_scipy(got, np.diag(d))
+
+    def test_empty_and_refused_shapes(self):
+        assert matexp.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert matexp.expm(np.zeros((2, 0, 0))).shape == (2, 0, 0)
+        for shape in ((3,), (2, 3), (4, 2, 3)):
+            with pytest.raises(ValueError, match="square"):
+                matexp.expm(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind, params, t_end, dt", [
+        ("spin_chain", {"N": 10}, 50.0, 0.01),
+        ("two_qubit", {}, 2000.0, 1.0),
+    ], ids=["spin_chain_N10", "two_qubit"])
+    def test_shipped_generators(self, kind, params, t_end, dt):
+        # the stepped oracles' operators: A0, blockaug's 2n and fd's 3n
+        # generators, at the grid step, a spot-check-sized step and t_end
+        from logsens.cli import build_system, validate_config
+        sys_ = build_system(validate_config({"kind": kind, "parameters": params}))[0]
+        A0, S, Z = sys_.A0, sys_.S, np.zeros_like(sys_.A0)
+        h = matexp._fd_step(S)
+        for G in (A0, np.block([[A0, S], [Z, A0]]),
+                  np.block([[A0 + h * S, Z, h * S], [Z, A0 - h * S, h * S],
+                            [Z, Z, A0]])):
+            for d in (dt, 0.37 * t_end, t_end):
+                assert_close_to_scipy(matexp.expm(d * G), d * G, bound=20)
+
+    def test_overflow_is_non_finite_without_warnings(self):
+        rng = np.random.default_rng(3)
+        big = 1e300 * rng.standard_normal((4, 4))
+        fine = rng.standard_normal((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matexp.expm(np.array([[1000.0]]))[0, 0] == np.inf
+            assert not np.isfinite(matexp.expm(big)).all()
+            X = matexp.expm(np.array([big, fine, [[np.inf] * 4] * 4, [[np.nan] * 4] * 4]))
+            assert np.isnan(X[2:]).all()
+            np.testing.assert_array_equal(X[1], matexp.expm(fine))
+            assert not np.isfinite(X[0]).all()
+
+    def test_quadrature_overflow_is_nan(self):
+        # a non-finite error estimate ends the quadrature: halving cannot
+        # mend an overflow
+        A = 1e300 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q, miss = _quadrature(A, np.eye(2), 5.0)
+        assert np.isnan(Q).all() and miss is None
