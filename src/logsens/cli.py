@@ -596,15 +596,13 @@ def _finite(tr, what):
 
 def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
     """Compare the first ``keep`` (default all) applicable paths of
-    ``methods`` (``methods``) by one ``trace`` each over the sorted times
-    ``ts``, each refused unless finite (``_finite``): each pair's
-    ``_path_deviations`` (``pairs``), their largest
-    (``max_rel_deviation``), and any path left out and why (``skipped``:
-    the analytic path refuses a near-defective spectrum)."""
-    spec, out = sys_.spectrum(), {}
-    if spec.near_defective:
-        out["skipped"] = {"analytic": f"spectrum is near-defective "
-                                      f"(cond_M = {spec.cond_M:.2e})"}
+    ``methods`` by one ``trace`` each over the sorted times ``ts``, each
+    refused unless finite (``_finite``).  Returns the paths compared
+    (``methods``), each pair's ``_path_deviations`` (``pairs``), their
+    largest (``max_rel_deviation``), and any path left out and why
+    (``skipped``: the spectrum's ``analytic_refusal``)."""
+    why = sys_.spectrum().analytic_refusal
+    out = {"skipped": {"analytic": why}} if why else {}
     used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
     pairs = _path_deviations({
         m: _finite(trace(sys_, ts, method=m), f"oracle check: {m} trace").derror

@@ -13,10 +13,12 @@ which this module evaluates four independent ways:
   defining integral
 * ``dderiv_oracle_blockaug``   -- upper-right block of ``expm(t*[[A,S],[0,A]])``
 
-plus a central finite-difference cross-check (``dderiv_oracle_fd``).  The
-analytic paths require an eigendecomposition with deterministic ordering,
-provided by ``eig_decompose``; hand-built defective systems supply their
-Jordan data through ``Spectrum.from_jordan``.  The oracles' matrix
+plus a central finite-difference cross-check (``dderiv_oracle_fd``) in the
+deviation form ``_fd_generator``, which does not cancel and which
+``sensan.trace`` steps too.  The analytic paths require an
+eigendecomposition with deterministic ordering, provided by
+``eig_decompose``; hand-built defective systems supply their Jordan data
+through ``Spectrum.from_jordan``.  The oracles' matrix
 exponentials come from ``expm``, a numpy-only scaling and squaring over a
 stack of matrices, so the program loads one BLAS (numpy's) and one thread
 pool; the tests check it against ``scipy.linalg.expm``.
@@ -125,6 +127,13 @@ class Spectrum:
     def is_defective(self) -> bool:
         return any(size > 1 for _, size in self.jordan_blocks)
 
+    @property
+    def analytic_refusal(self) -> str:
+        """Why the analytic path refuses this spectrum, or "": a
+        near-defective spectrum that carries no Jordan data."""
+        return (f"spectrum is near-defective (cond_M = {self.cond_M:.2e})"
+                if self.near_defective and not self.is_defective else "")
+
     def cluster_means(self) -> np.ndarray:
         """Eigenvalues with each entry replaced by its cluster mean."""
         lam = self.eigenvalues.copy()
@@ -173,22 +182,18 @@ class Spectrum:
             if np.max(np.abs(lam[s:s + z] - lam[s])) > tol:
                 raise ValueError(f"{block} spans unequal eigenvalues "
                                  f"{lam[s:s + z].tolist()}")
-        Minv = np.linalg.inv(M)
-        # each block clusters as one unit, at its leading eigenvalue, with
-        # the blocks and simple eigenvalues that equal it
-        size, inner = dict(blocks), {i for s, z in blocks for i in range(s + 1, s + z)}
-        units = [range(i, i + size.get(i, 1)) for i in range(len(lam)) if i not in inner]
-        leads = _cluster_indices(lam[[u[0] for u in units]])
-        clusters = [tuple(k for u in grp for k in units[u]) for grp in leads]
-        cond = float(np.linalg.cond(M))
-        return cls(
-            eigenvalues=lam,
-            M=M,
-            Minv=Minv,
-            clusters=tuple(sorted(clusters)),
-            jordan_blocks=tuple(blocks),
-            cond_M=cond,
-        )
+        return cls._build(lam, M, blocks)
+
+    @classmethod
+    def _build(cls, lam, M, blocks=()):
+        """The spectrum of ordered ``lam`` and ``M`` with Jordan ``blocks``.
+        Each block clusters as one unit at its leading eigenvalue (``lead``),
+        with the blocks and simple eigenvalues that equal it."""
+        lead = np.arange(len(lam))
+        for s, z in blocks:
+            lead[s:s + z] = s
+        return cls(lam, M, np.linalg.inv(M), tuple(_cluster_indices(lam[lead])),
+                   tuple(blocks), float(np.linalg.cond(M)))
 
 
 @dataclass(frozen=True)
@@ -205,35 +210,19 @@ class Couplings:
     Sbar: np.ndarray
 
 
-def _sort_key(lam):
-    return (-lam.real, abs(lam.imag), -np.sign(lam.imag))
-
-
 def _cluster_indices(lam):
-    """Union-find grouping of eigenvalues within ``DEFAULT_CLUSTER_TOL *
-    (1 + max |lam|)`` of each other."""
+    """Groups of the indices of ``lam`` joined by chains of eigenvalues within
+    ``DEFAULT_CLUSTER_TOL * (1 + max |lam|)`` of each other, each ascending,
+    ordered by first index: every index takes the least label among its near
+    neighbours until no label changes."""
     n = len(lam)
-    if n == 0:
-        return []
-    thresh = DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam))))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam[i] - lam[j]) <= thresh:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(g) for g in sorted(groups.values())]
+    thresh = DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    # np.hypot rounds as a complex scalar's abs; np.abs on a complex array may not
+    near = np.hypot(lam.real[:, None] - lam.real, lam.imag[:, None] - lam.imag) <= thresh
+    label, prev = np.arange(n), None
+    while not np.array_equal(label, prev):
+        label, prev = np.min(np.where(near, label, n), axis=1, initial=n), label
+    return [tuple(np.flatnonzero(label == k).tolist()) for k in np.unique(label)]
 
 
 def _phase_normalize(M):
@@ -261,21 +250,9 @@ def eig_decompose(A) -> Spectrum:
     the spectrum as near-defective; analytic derivative paths then refuse
     and defer to the oracles.
     """
-    A = _as_square(A)
-    lam, M = np.linalg.eig(A)
-    order = sorted(range(len(lam)), key=lambda i: _sort_key(lam[i]))
-    lam = lam[order]
-    M = _phase_normalize(M[:, order])
-    cond = float(np.linalg.cond(M))
-    Minv = np.linalg.inv(M)
-    clusters = _cluster_indices(lam)
-    return Spectrum(
-        eigenvalues=lam,
-        M=M,
-        Minv=Minv,
-        clusters=tuple(clusters),
-        cond_M=cond,
-    )
+    lam, M = np.linalg.eig(_as_square(A))
+    order = np.lexsort((-np.sign(lam.imag), np.abs(lam.imag), -lam.real))
+    return Spectrum._build(lam[order], _phase_normalize(M[:, order]))
 
 
 def couplings(spec: Spectrum, S, c, vec) -> Couplings:
@@ -317,11 +294,9 @@ def dderiv_diag(spec: Spectrum, coup: Couplings, t: float) -> np.ndarray:
     """
     if spec.is_defective:
         raise ValueError("spectrum has nontrivial Jordan blocks: use dderiv_jordan")
-    if spec.near_defective:
-        raise ValueError(
-            f"eigenvector matrix condition {spec.cond_M:.2e} exceeds "
-            f"{NEAR_DEFECTIVE_COND:.0e}; use dderiv_oracle_blockaug/quadrature"
-        )
+    if spec.analytic_refusal:
+        raise ValueError(f"{spec.analytic_refusal}; use "
+                         "dderiv_oracle_blockaug/quadrature")
     X = coup.Sbar * phi_matrix(spec, t)
     D = spec.M @ X @ spec.Minv
     return _require_real(D, 1e-9, "dderiv_diag")
@@ -587,9 +562,18 @@ def _fd_step(S) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(S, 2)))
 
 
+def _fd_generator(A, S, h):
+    """``[[A + hS, 0, hS], [0, A - hS, hS], [0, 0, A]]``, whose exponential's
+    last block column holds ``exp(t(A +- hS)) - exp(tA)``, the second negated:
+    their sum is a central difference that subtracts no two exponentials."""
+    Z = np.zeros_like(A)
+    return np.block([[A + h * S, Z, h * S], [Z, A - h * S, h * S], [Z, Z, A]])
+
+
 def dderiv_oracle_fd(A, S, t: float, h: float | None = None) -> np.ndarray:
-    """Central finite-difference cross-check of D_S(t, A)."""
+    """Central finite-difference cross-check of D_S(t, A) (``_fd_generator``)."""
     A, S = _oracle_input(A, S, t)
     if h is None:
         h = _fd_step(S)
-    return (expm(t * (A + h * S)) - expm(t * (A - h * S))) / (2.0 * h)
+    P, n = expm(t * _fd_generator(A, S, h)), len(A)
+    return (P[:n, 2 * n:] + P[n:2 * n, 2 * n:]) / (2.0 * h)

@@ -25,6 +25,7 @@ import numpy as np
 from .matexp import (
     Couplings,
     Spectrum,
+    _fd_generator,
     _fd_step,
     _quadrature,
     _refuse_imaginary,
@@ -187,11 +188,9 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     rows e^{lam t} and e^{lam_raw t}.  The imaginary residue of de/dxi is
     judged once, against the whole trace's largest modulus.
     """
-    if spec.near_defective and not spec.is_defective:
-        raise ValueError(
-            f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}); use "
-            "--method blockaug|quadrature|fd, or Spectrum.from_jordan data"
-        )
+    if spec.analytic_refusal:
+        raise ValueError(f"{spec.analytic_refusal}; use --method "
+                         "blockaug|quadrature|fd, or Spectrum.from_jordan data")
     kept = sys.__dict__.get("_modal_coefficients")
     if kept is None or kept[0] is not spec:
         coup, p = sys.couplings(spec), np.arange(spec.n)
@@ -318,7 +317,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
         error, derror = _stepped(lambda d: expm(d * G), np.r_[z, v], readout, times)
     elif method == "fd":
         h = _fd_step(S)
-        G = np.block([[A0 + h * S, Z, h * S], [Z, A0 - h * S, h * S], [Z, Z, A0]])
+        G = _fd_generator(A0, S, h)
         error, diff = _stepped(lambda d: expm(d * G), np.r_[z, z, v],
                                np.block([[z, z, c], [c, c, z]]), times)
         derror = diff / (2.0 * h)
@@ -492,7 +491,6 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     dominant eigenvalue is identified.
     """
     lam = spec.eigenvalues
-    n = spec.n
     rad = 1.0 + float(np.max(np.abs(lam)))
     tol_dom = 1e-8 * rad
 
@@ -508,10 +506,10 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
                            "a complex Jordan pair (detection still applies)",
             )
         return DivergenceClassification(kind="PolynomialJordan", degree=size, sigma=sigma)
-    if spec.near_defective and not spec.is_defective:
+    if spec.analytic_refusal:
         return DivergenceClassification(
             kind="Inconclusive",
-            diagnostic=f"spectrum is near-defective (cond_M = {spec.cond_M:.2e}) "
+            diagnostic=f"{spec.analytic_refusal} "
                        "and carries no Jordan data: --method blockaug|quadrature|fd "
                        "still samples it, Spectrum.from_jordan supplies the data",
         )
@@ -519,13 +517,9 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     zw = coup.z * coup.w
     absS = np.abs(coup.Sbar)
     zw_scale = float(np.max(np.abs(zw)))
-    s_scale = float(np.max(absS))
-    pruned = []
-    for m in range(n):
-        coupling_m = max(absS[m, :].max(), absS[:, m].max())
-        if abs(zw[m]) <= PRUNE_TOL * zw_scale or coupling_m <= PRUNE_TOL * s_scale:
-            pruned.append(m)
-    kept = [m for m in range(n) if m not in pruned]
+    weak = np.abs(zw) <= PRUNE_TOL * zw_scale
+    prune = weak | (np.maximum(absS.max(1), absS.max(0)) <= PRUNE_TOL * np.max(absS))
+    pruned, kept = np.flatnonzero(prune).tolist(), np.flatnonzero(~prune).tolist()
     if not kept:
         return DivergenceClassification(
             kind="Inconclusive", pruned_modes=tuple(pruned),
@@ -540,7 +534,7 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     # denominator even when their structure couplings vanish.  One strictly
     # above the kept dominant axis means the error outlives the numerator
     # growth and the log-sensitivity can stay bounded.
-    zw_active = [m for m in range(n) if abs(zw[m]) > PRUNE_TOL * zw_scale]
+    zw_active = np.flatnonzero(~weak).tolist()
     if any(lam[m].real > re_max + tol_dom for m in zw_active):
         return DivergenceClassification(
             kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),

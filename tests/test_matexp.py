@@ -4,6 +4,7 @@ The quadrature and block-augmented evaluations of the defining integral act
 as independent oracles for the analytic (eigenbasis / Jordan) paths.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -297,6 +298,165 @@ class TestFromJordanValidation:
                                     [(0, 2), (2, 1)])
         assert spec.jordan_blocks == ((0, 2), (2, 1))
         assert spec.clusters == ((0, 1), (2,))
+
+
+def reference_cluster_indices(lam):
+    """The union-find that ``_cluster_indices`` replaced, kept as its
+    reference: eigenvalues within ``DEFAULT_CLUSTER_TOL * (1 + max |lam|)``
+    of each other share a group."""
+    n = len(lam)
+    if n == 0:
+        return []
+    thresh = matexp.DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam))))
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(lam[i] - lam[j]) <= thresh:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(g) for g in sorted(groups.values())]
+
+
+def reference_eig_decompose(A):
+    """``eig_decompose`` as it built its spectrum before ``Spectrum._build``."""
+    lam, M = np.linalg.eig(A)
+    key = lambda i: (-lam[i].real, abs(lam[i].imag), -np.sign(lam[i].imag))  # noqa: E731
+    order = sorted(range(len(lam)), key=key)
+    lam = lam[order]
+    M = matexp._phase_normalize(M[:, order])
+    cond = float(np.linalg.cond(M))
+    return Spectrum(eigenvalues=lam, M=M, Minv=np.linalg.inv(M),
+                    clusters=tuple(reference_cluster_indices(lam)), cond_M=cond)
+
+
+def reference_from_jordan(eigenvalues, M, blocks):
+    """``Spectrum.from_jordan``'s construction before ``Spectrum._build``,
+    for a valid layout."""
+    lam = np.asarray(eigenvalues, dtype=complex)
+    M = np.asarray(M, dtype=complex)
+    blocks = [(int(s), int(z)) for s, z in blocks]
+    Minv = np.linalg.inv(M)
+    size, inner = dict(blocks), {i for s, z in blocks for i in range(s + 1, s + z)}
+    units = [range(i, i + size.get(i, 1)) for i in range(len(lam)) if i not in inner]
+    leads = reference_cluster_indices(lam[[u[0] for u in units]])
+    clusters = [tuple(k for u in grp for k in units[u]) for grp in leads]
+    return Spectrum(eigenvalues=lam, M=M, Minv=Minv, clusters=tuple(sorted(clusters)),
+                    jordan_blocks=tuple(blocks), cond_M=float(np.linalg.cond(M)))
+
+
+def assert_same_spectrum(got, want):
+    """Every field equal bit for bit, with its dtype and its Python types."""
+    for f in dataclasses.fields(Spectrum):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+@st.composite
+def clustered_sets(draw):
+    """Eigenvalue sets with conjugate pairs, exact repeats and chains whose
+    links are 0.5-1.5 times the cluster threshold, shuffled, real or complex."""
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    lam = [complex(draw(part), draw(part)) * scale
+           for _ in range(draw(st.integers(0, 6)))]
+    real = draw(st.booleans())
+    if real:
+        lam = [complex(z.real) for z in lam]
+    lam += [z.conjugate() for z in lam if draw(st.booleans())]
+    lam += [z for z in lam if draw(st.booleans())]
+    thresh = matexp.DEFAULT_CLUSTER_TOL * (1.0 + max(map(abs, lam), default=0.0))
+    for z in list(lam):
+        if draw(st.booleans()):
+            step = complex(1.0, 0.0 if real else draw(part))
+            for _ in range(draw(st.integers(1, 3))):
+                f = draw(st.sampled_from([0.5, 0.9, 1.0, 1.1, 1.5]) | st.floats(0.5, 1.5))
+                z = z + f * thresh * step / abs(step)
+                lam.append(z)
+    order = draw(st.permutations(range(len(lam))))
+    lam = np.array([lam[i] for i in order], dtype=complex)
+    return lam.real.copy() if real else lam
+
+
+class TestClusterIndices:
+    """``_cluster_indices`` gives the groups of the union-find it replaced."""
+
+    @settings(max_examples=300)
+    @given(lam=clustered_sets())
+    def test_matches_union_find(self, lam):
+        got = matexp._cluster_indices(lam)
+        assert got == reference_cluster_indices(lam)
+        assert all(type(k) is int for grp in got for k in grp)
+
+    def test_empty(self):
+        assert matexp._cluster_indices(np.zeros(0)) == []
+
+    def test_chain_links_transitively(self):
+        # 0 ~ 3 ~ 2 by links of 0.9 threshold, 0 and 2 are 1.8 apart; 1 alone
+        d = 0.9 * matexp.DEFAULT_CLUSTER_TOL * 3.0
+        lam = np.array([-2.0 + 2 * d, 1.0, -2.0, -2.0 + d])
+        assert matexp._cluster_indices(lam) == [(0, 2, 3), (1,)]
+
+
+def shipped_generators():
+    from logsens.cli import build_system, validate_config
+    configs = [{"kind": "spring_mass"}, {"kind": "rlc"},
+               {"kind": "rlc", "parameters": {"poles": [
+                   [-2.0, 0.3141592653589793], [-2.0, -0.3141592653589793]]}},
+               {"kind": "two_qubit"}]
+    configs += [{"kind": "spin_chain", "parameters": {"N": N}} for N in range(2, 11)]
+    configs.append({"kind": "custom", "parameters": {
+        "A1": [[-1.0, 1.0], [0.0, -1.0]], "S": [[0.0, 0.0], [1.0, 0.0]],
+        "c": [1.0, 0.0], "v": [0.0, 1.0], "xi0": 0.0}})
+    return [build_system(validate_config(c))[0].A0 for c in configs]
+
+
+class TestSpectrumConstruction:
+    """``eig_decompose`` and ``Spectrum.from_jordan`` give, in every field and
+    dtype, the spectrum of the construction before ``Spectrum._build``."""
+
+    def test_eig_decompose_shipped(self):
+        specs = [eig_decompose(A) for A in shipped_generators()]
+        for A, spec in zip(shipped_generators(), specs):
+            assert_same_spectrum(spec, reference_eig_decompose(A))
+        # real spectra stay real (spring_mass, real rlc), the rest complex
+        assert [s.eigenvalues.dtype.kind for s in specs[:4]] == ["f", "f", "c", "c"]
+        assert specs[-1].near_defective
+
+    def test_eig_decompose_random(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 9):
+            A = rng.standard_normal((n, n))
+            A[:, :n // 3] = A[:, n // 3:2 * (n // 3)]  # repeated zero eigenvalues
+            assert_same_spectrum(eig_decompose(A), reference_eig_decompose(A))
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           where=st.lists(st.sampled_from([-0.3, -0.3, -0.7, -0.3 + 0.5j, -1.0 + 1.0j]),
+                          min_size=3, max_size=3),
+           n_extra=st.integers(0, 2), keep_unit_blocks=st.booleans())
+    def test_from_jordan_random_layouts(self, seed, sizes, where, n_extra,
+                                        keep_unit_blocks):
+        _, spec = make_jordan_system(np.random.default_rng(seed), sizes, n_extra,
+                                     eigenvalues=where[:len(sizes)])
+        blocks = [b for b in spec.jordan_blocks if keep_unit_blocks or b[1] > 1]
+        args = (spec.eigenvalues, spec.M, blocks)
+        assert_same_spectrum(Spectrum.from_jordan(*args), reference_from_jordan(*args))
 
 
 class TestCrossPathProperties:

@@ -778,6 +778,18 @@ class TestOracleTraces:
     def test_default_grids(self, kind):
         self.check(*cli_system(kind))
 
+    @pytest.mark.parametrize("kind", ["spring_mass", "rlc", "two_qubit",
+                                      "spin_chain"])
+    def test_fd_oracle_is_the_one_sample_fd_trace(self, kind):
+        # both exponentiate matexp._fd_generator, so they agree to rounding;
+        # a quotient of two subtracted exponentials misses by 1e-11 to 5e-8
+        sys, times = cli_system(kind)
+        ts = times[sampled_rows(times)]
+        oracle = np.array([sys.c @ dderiv_oracle_fd(sys.A0, sys.S, t) @ sys.v
+                           for t in ts])
+        stepped = np.array([error_derivative(sys, t, "fd") for t in ts])
+        assert np.max(np.abs(oracle - stepped)) <= 1e-12 * np.max(np.abs(stepped))
+
     @pytest.mark.parametrize("grid", [
         0.3 * 50.0 + 0.01 * np.arange(2001),             # t0 > 0
         np.cumsum(np.random.default_rng(4).uniform(0.02, 0.18, 300)),
