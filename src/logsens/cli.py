@@ -15,7 +15,7 @@ one line on stderr), 2 config error (so are a non-finite number or a bool
 where a number belongs, a config a scenario builder refuses, a grid over
 ``MAX_GRID_ROWS`` samples or with merging times, a chain over
 ``MAX_CHAIN_SITES`` sites, output names that are empty, end in a separator
-or name one file twice).
+or name one file twice, a non-finite ``table1 --targets`` value).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/BLAS build and BLAS thread count: no timestamps, sorted
@@ -824,6 +824,9 @@ def main(argv=None) -> int:
             print(_dumps(_json_value(check_oracles(cfg, args.samples))))
             return 0
         if args.command == "table1":
+            bad = [x for x in args.targets or () if not math.isfinite(x)]
+            if bad:
+                raise ConfigError("--targets", f"a fidelity must be finite, got {bad[0]!r}")
             rows = table1_repro(args.chain, args.targets)
             out = os.path.join(_default_out_dir(args.out_dir),
                                f"table1_{args.chain}.csv")

@@ -5,10 +5,10 @@ structure matrix ``S``,
 
     D_S(t, A) = integral_0^t exp((t-tau)*A) S exp(tau*A) dtau,
 
-which this module evaluates four independent ways:
+which this module evaluates three independent ways:
 
-* ``dderiv_diag``   -- eigenbasis Hadamard-product formula (diagonalizable A)
-* ``dderiv_jordan`` -- closed-form sums for a single dominant Jordan block
+* ``dderiv_diag`` / ``dderiv_jordan`` -- the modal form, one kernel
+  (``_kernel``) for diagonalizable A and for any Jordan layout
 * ``dderiv_oracle_quadrature`` -- adaptive Gauss-Legendre quadrature of the
   defining integral
 * ``dderiv_oracle_blockaug``   -- upper-right block of ``expm(t*[[A,S],[0,A]])``
@@ -26,8 +26,10 @@ pool; the tests check it against ``scipy.linalg.expm``.
 The matrix-valued ``dderiv_*`` functions are the reference API, checked
 against each other at single times by the acceptance suite.  Every value
 the program evaluates runs through ``sensan.trace``, which samples ``c @
-D_S(t, A) @ v`` on a grid; it calls only the quadrature, per step, as
-``_quadrature``, which returns a missed tolerance instead of warning it.
+D_S(t, A) @ v`` on a grid; its modal path contracts the same partial
+fractions (``_fractions``), and of the oracles it calls only the
+quadrature, per step, as ``_quadrature``, which returns a missed tolerance
+instead of warning it.
 
 All functions are pure; no global state is mutated.
 """
@@ -265,110 +267,89 @@ def couplings(spec: Spectrum, S, c, vec) -> Couplings:
     return Couplings(z=c @ spec.M, w=spec.Minv @ vec, Sbar=spec.Minv @ S @ spec.M)
 
 
-def phi_matrix(spec: Spectrum, t: float) -> np.ndarray:
-    """Divided-difference kernel of the exponential on the spectrum.
+def _layout(spec: Spectrum):
+    """The modal layout of ``spec``: cluster means ``lam``, the same-cluster
+    mask, the gaps ``d = lam_p - lam_q`` (1 within a cluster) and each
+    index's Jordan chain bounds, ``head[p] <= p < end[p]``."""
+    p = np.arange(spec.n)
+    lam, same = spec.cluster_means(), spec.same_cluster_mask()
+    head, end = p.copy(), p + 1
+    for s, size in spec.jordan_blocks:
+        head[s:s + size], end[s:s + size] = s, s + size
+    return lam, same, np.where(same, 1.0, lam[:, None] - lam[None, :]), head, end
 
-    Entry (m, n) is ``(exp(lam_m t) - exp(lam_n t)) / (lam_m - lam_n)`` for
-    distinct eigenvalues and ``t * exp(lam_m t)`` on clusters (cluster members
-    are averaged first, which avoids catastrophic cancellation at the branch
-    switch).  Symmetric by construction.
-    """
+
+def _fractions(W, d, i, j):
+    """Partial fractions of the integral of e^{lam_p (t-tau)} (t-tau)^i/i!
+    e^{lam_q tau} tau^j/j! across clusters, weighted by ``W``: for r = i+j
+    down to 0, ``(r, a, b, R)`` with ``R = W / d^(i+j+1-r)``, so that the
+    integral is sum_r t^r (a R e^{lam_p t} [r <= i] - b R e^{lam_q t} [r <= j])."""
+    R = W
+    for r in range(i + j, -1, -1):
+        R, f = R / d, math.factorial(r)
+        yield (r, (-1) ** (i - r) * math.comb(i + j - r, j) / f,
+               (-1) ** i * math.comb(i + j - r, i) / f, R)
+
+
+def _kernel(lam, same, d, W, t, i, j):
+    """``K^{ij}(t) * W``: the (i, j) coupling integral of ``_fractions``
+    across clusters, t^(i+j+1)/(i+j+1)! e^{lam_p t} within one."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    lam = spec.cluster_means()
     e = np.exp(lam * t)
-    same = spec.same_cluster_mask()
-    num = e[:, None] - e[None, :]
-    den = lam[:, None] - lam[None, :]
-    den = np.where(same, 1.0, den)
-    phi = np.where(same, t * e[:, None], num / den)
-    # enforce exact symmetry on the repeated branch
-    return np.where(same, (phi + phi.T) / 2.0, phi)
+    K = np.where(same, W, 0.0) * e[:, None] * (t ** (i + j + 1) / math.factorial(i + j + 1))
+    for r, a, b, R in _fractions(np.where(same, 0.0, W), d, i, j):
+        if r <= i:
+            K = K + a * t ** r * R * e[:, None]
+        if r <= j:
+            K = K - b * t ** r * R * e
+    return K
+
+
+def _dderiv(spec: Spectrum, Sbar, t, context):
+    """D_S(t, A) = M X Minv with X = sum_{i,j} N^i (K^{ij}(t) * Sbar) N^j,
+    N the shift along each Jordan chain: X[a, b] += Y[a+i, b-j] where both
+    stay on their chains.  ``Sbar`` must be a finite ``(n, n)`` matrix."""
+    Sbar = _as_square(Sbar, "Sbar")
+    if Sbar.shape != (spec.n, spec.n):
+        raise ValueError(f"Sbar must have shape {(spec.n, spec.n)}, got {Sbar.shape}")
+    lam, same, d, head, end = _layout(spec)
+    p, L = np.arange(spec.n), int(np.max(end - head))
+    X = np.zeros((spec.n, spec.n), np.result_type(Sbar, lam))
+    for i, j in np.ndindex(L, L):
+        rows, cols = p[p + i < end], p[p - j >= head]
+        Y = _kernel(lam, same, d, Sbar, t, i, j)
+        X[np.ix_(rows, cols)] += Y[np.ix_(rows + i, cols - j)]
+    return _require_real(spec.M @ X @ spec.Minv, 1e-9, context)
+
+
+def phi_matrix(spec: Spectrum, t: float) -> np.ndarray:
+    """Divided-difference kernel of the exponential on the spectrum, the
+    (0, 0) ``_kernel`` on ``W = 1``: entry (m, n) is ``(exp(lam_m t) -
+    exp(lam_n t)) / (lam_m - lam_n)`` across clusters and ``t exp(lam_m t)``
+    within one (at the cluster means, so no cancellation at the switch)."""
+    return _kernel(*_layout(spec)[:3], np.ones((spec.n, spec.n)), t, 0, 0)
 
 
 def dderiv_diag(spec: Spectrum, coup: Couplings, t: float) -> np.ndarray:
-    """Directional derivative of expm via the eigenbasis Hadamard product.
-
-    Requires a diagonalizable spectrum; repeated eigenvalues are fine as long
-    as the eigenvector matrix is well conditioned.
-    """
+    """Directional derivative of expm via the eigenbasis Hadamard product
+    ``M (Sbar * phi_matrix) Minv`` (``_dderiv``), for a diagonalizable
+    spectrum: repeated eigenvalues are fine while ``M`` is well conditioned."""
     if spec.is_defective:
         raise ValueError("spectrum has nontrivial Jordan blocks: use dderiv_jordan")
     if spec.analytic_refusal:
         raise ValueError(f"{spec.analytic_refusal}; use "
                          "dderiv_oracle_blockaug/quadrature")
-    X = coup.Sbar * phi_matrix(spec, t)
-    D = spec.M @ X @ spec.Minv
-    return _require_real(D, 1e-9, "dderiv_diag")
-
-
-def _int_tail(lam1, lam_m, k, t):
-    """exp(lam_m t)/k! * integral_0^t exp((lam1-lam_m) tau) tau^k dtau, lam_m != lam1."""
-    a = lam1 - lam_m
-    acc = 0.0 + 0.0j
-    for i in range(k + 1):
-        acc += (-1.0) ** i * t ** (k - i) / (math.factorial(k - i) * a ** (i + 1))
-    return np.exp(lam1 * t) * acc + (-1.0) ** (k + 1) * np.exp(lam_m * t) / a ** (k + 1)
+    return _dderiv(spec, coup.Sbar, t, "dderiv_diag")
 
 
 def dderiv_jordan(spec: Spectrum, Sbar, t: float) -> np.ndarray:
-    """Directional derivative for one dominant Jordan block of size ell >= 2.
-
-    The block must occupy the leading ``ell`` positions (dominant eigenvalue,
-    geometric multiplicity one) with the remaining eigenvalues simple; ``M``
-    carries the generalized eigenvector chain in its first ``ell`` columns.
-    The result sums the four closed-form integral families arising from the
-    polynomial-in-t structure of ``expm(t*J)``.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    blocks = [b for b in spec.jordan_blocks if b[1] > 1]
-    if not blocks:
+    """Directional derivative for a spectrum with nontrivial Jordan blocks,
+    in any layout ``Spectrum.from_jordan`` accepts (``_dderiv``).  ``Sbar =
+    Minv S M`` must be a finite ``(n, n)`` matrix."""
+    if not spec.is_defective:
         raise ValueError("spectrum carries no nontrivial Jordan block: use dderiv_diag")
-    if len(blocks) > 1:
-        raise ValueError("multiple nontrivial Jordan blocks are unsupported")
-    start, ell = blocks[0]
-    if start != 0:
-        raise ValueError("the Jordan block must be attached to the dominant eigenvalue")
-    n = spec.n
-    lam = spec.eigenvalues
-    lam1 = lam[0]
-    Sbar = np.asarray(Sbar, dtype=complex)
-    e1t = np.exp(lam1 * t)
-
-    def I_factor(m, k):
-        # exp(lam_m t)/k! * integral of exp((lam1-lam_m) tau) tau^k
-        if m < ell or abs(lam[m] - lam1) == 0.0:
-            return e1t * t ** (k + 1) / math.factorial(k + 1)
-        return _int_tail(lam1, lam[m], k, t)
-
-    # X1: diagonal-family term, identical to the diagonalizable formula
-    X = Sbar * phi_matrix(spec, t)
-
-    # X2: exp(J) diagonal on the left, block superdiagonal on the right
-    for r in range(ell - 1):
-        for nn in range(r + 1, ell):
-            k = nn - r
-            for m in range(n):
-                X[m, nn] += Sbar[m, r] * I_factor(m, k)
-
-    # X3: block superdiagonal on the left, exp(J) diagonal on the right
-    for p in range(ell - 1):
-        for q in range(p + 1, ell):
-            k = q - p
-            for m in range(n):
-                X[p, m] += Sbar[q, m] * I_factor(m, k)
-
-    # X4: superdiagonal on both sides (Beta integral)
-    for p in range(ell - 1):
-        for q in range(p + 1, ell):
-            for r in range(ell - 1):
-                for nn in range(r + 1, ell):
-                    k = (q - p) + (nn - r) + 1
-                    X[p, nn] += Sbar[q, r] * e1t * t ** k / math.factorial(k)
-
-    D = spec.M @ X @ spec.Minv
-    return _require_real(D, 1e-9, "dderiv_jordan")
+    return _dderiv(spec, Sbar, t, "dderiv_jordan")
 
 
 def _pade_table():

@@ -27,6 +27,8 @@ from .matexp import (
     Spectrum,
     _fd_generator,
     _fd_step,
+    _fractions,
+    _layout,
     _quadrature,
     _refuse_imaginary,
     couplings,
@@ -171,16 +173,13 @@ class DivergenceClassification:
 def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     """e(t) and de/dxi(t) on a grid, from any spectrum with its Jordan data.
 
-    In the Jordan basis, couplings shift along blocks, z^(i)_p = z_{p-i} and
-    w^(j)_q = w_{q+j} (0 off the block), and each (i, j) weights W = Sbar *
-    outer(z^(i), w^(j)) by the integral of e^{lam_p (t-tau)} (t-tau)^i/i!
-    e^{lam_q tau} tau^j/j! at the cluster means lam: t^(i+j+1)/(i+j+1)!
-    e^{lam_p t} within a cluster, partial fractions in t^r e^{lam_p t}, r <=
-    i, and t^r e^{lam_q t}, r <= j, across.  So de/dxi = Re sum_k t^k C_k @
-    e^{lam t} and e = Re sum_i t^i (z^(i) w / i!) @ e^{lam_raw t}.  Without
-    blocks only (0, 0) is left: C_0 = a, C_1 = b with R_mn = W_mn / (lam_m -
-    lam_n) across clusters, a_m = sum_n (R_mn - R_nm), b_m = sum_{n~m} W_mn.
-    The coefficients are kept on ``sys`` for the last spectrum it was given.
+    In the Jordan basis (``matexp._layout``), couplings shift along blocks,
+    z^(i)_p = z_{p-i} and w^(j)_q = w_{q+j} (0 off the block), and each
+    (i, j) weights W = Sbar * outer(z^(i), w^(j)) by the integral that
+    ``matexp._kernel`` takes at the cluster means lam: t^(i+j+1)/(i+j+1)!
+    e^{lam_p t} within a cluster, ``matexp._fractions`` across.  So de/dxi
+    = Re sum_k t^k C_k @ e^{lam t} and e = Re sum_i t^i (z^(i) w / i!) @
+    e^{lam_raw t}, with the coefficients kept on ``sys`` for its last spectrum.
 
     The grid is evaluated in blocks of ``_BLOCK`` samples, by Horner's rule
     in t, so the working memory is O(n B + T) besides the two output
@@ -194,11 +193,7 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     kept = sys.__dict__.get("_modal_coefficients")
     if kept is None or kept[0] is not spec:
         coup, p = sys.couplings(spec), np.arange(spec.n)
-        lam, same = spec.cluster_means(), spec.same_cluster_mask()
-        d = np.where(same, 1.0, lam[:, None] - lam[None, :])
-        head, end = p.copy(), p + 1
-        for s, size in spec.jordan_blocks:
-            head[s:s + size], end[s:s + size] = s, s + size
+        lam, same, d, head, end = _layout(spec)
         L = int(np.max(end - head))
         zs = [np.where(p - i >= head, np.roll(coup.z, i), 0) for i in range(L)]
         ws = [np.where(p + j < end, np.roll(coup.w, -j), 0) for j in range(L)]
@@ -206,13 +201,11 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
         for i, j in np.ndindex(L, L):
             W = coup.Sbar * np.outer(zs[i], ws[j])
             C[i + j + 1] += np.where(same, W, 0.0).sum(axis=1) / math.factorial(i + j + 1)
-            R = np.where(same, 0.0, W)
-            for r in range(i + j, -1, -1):  # R = W / (lam_p - lam_q)^(i+j+1-r)
-                R, f = R / d, math.factorial(r)
+            for r, a, b, R in _fractions(np.where(same, 0.0, W), d, i, j):
                 if r <= i:
-                    C[r] += (-1) ** (i - r) * math.comb(i + j - r, j) / f * R.sum(axis=1)
+                    C[r] += a * R.sum(axis=1)
                 if r <= j:
-                    C[r] -= (-1) ** i * math.comb(i + j - r, i) / f * R.sum(axis=0)
+                    C[r] -= b * R.sum(axis=0)
         Ce = np.array([zs[i] * coup.w / math.factorial(i) for i in range(L)])
         kept = (spec, Ce, C, _exponent_plan(lam, spec.eigenvalues))
         object.__setattr__(sys, "_modal_coefficients", kept)

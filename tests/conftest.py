@@ -6,12 +6,13 @@ reproducer blob for any failing case, so it can be replayed with
 ``@reproduce_failure``.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 from hypothesis import settings
 
-from logsens.matexp import Spectrum
+from logsens.matexp import Spectrum, _require_real
 
 settings.register_profile("logsens", deadline=None, print_blob=True)
 settings.load_profile("logsens")
@@ -66,3 +67,70 @@ def make_jordan_system(rng, sizes, n_extra=0, lam1=-0.3, spread=1.0,
             M[:, a:a + size], M[:, b:b + size] = X + 1j * Y, X - 1j * Y
     A = (M @ J @ np.linalg.inv(M)).real
     return A, Spectrum.from_jordan(eigs, M, blocks)
+
+
+def reference_phi_matrix(spec, t):
+    """The divided-difference kernel as ``phi_matrix`` wrote it before the
+    shared modal kernel: ``(e_m - e_n) / (lam_m - lam_n)`` across clusters,
+    ``t e_m`` within one, at the cluster means, symmetrized."""
+    lam = spec.cluster_means()
+    e = np.exp(lam * t)
+    same = spec.same_cluster_mask()
+    den = np.where(same, 1.0, lam[:, None] - lam[None, :])
+    phi = np.where(same, t * e[:, None], (e[:, None] - e[None, :]) / den)
+    return np.where(same, (phi + phi.T) / 2.0, phi)
+
+
+def reference_dderiv_diag(spec, coup, t):
+    """The eigenbasis Hadamard product ``M (Sbar * phi) Minv`` that
+    ``dderiv_diag`` evaluated before the shared modal kernel."""
+    D = spec.M @ (coup.Sbar * reference_phi_matrix(spec, t)) @ spec.Minv
+    return _require_real(D, 1e-9, "reference_dderiv_diag")
+
+
+def _int_tail(lam1, lam_m, k, t):
+    """exp(lam_m t)/k! * integral_0^t exp((lam1-lam_m) tau) tau^k dtau, lam_m != lam1."""
+    a = lam1 - lam_m
+    acc = 0.0 + 0.0j
+    for i in range(k + 1):
+        acc += (-1.0) ** i * t ** (k - i) / (math.factorial(k - i) * a ** (i + 1))
+    return np.exp(lam1 * t) * acc + (-1.0) ** (k + 1) * np.exp(lam_m * t) / a ** (k + 1)
+
+
+def reference_dderiv_jordan(spec, Sbar, t):
+    """The closed-form sums ``dderiv_jordan`` evaluated before the shared
+    modal kernel, for one Jordan block of size ell >= 2 in the leading
+    positions with every other eigenvalue simple: the diagonal family plus
+    three families from the polynomial-in-t structure of ``expm(t*J)``."""
+    (start, ell), = [b for b in spec.jordan_blocks if b[1] > 1]
+    assert start == 0
+    n, lam = spec.n, spec.eigenvalues
+    lam1 = lam[0]
+    Sbar = np.asarray(Sbar, dtype=complex)
+    e1t = np.exp(lam1 * t)
+
+    def I_factor(m, k):
+        # exp(lam_m t)/k! * integral of exp((lam1-lam_m) tau) tau^k
+        if m < ell or abs(lam[m] - lam1) == 0.0:
+            return e1t * t ** (k + 1) / math.factorial(k + 1)
+        return _int_tail(lam1, lam[m], k, t)
+
+    X = Sbar * reference_phi_matrix(spec, t)
+    # exp(J) diagonal on the left, block superdiagonal on the right
+    for r in range(ell - 1):
+        for nn in range(r + 1, ell):
+            for m in range(n):
+                X[m, nn] += Sbar[m, r] * I_factor(m, nn - r)
+    # block superdiagonal on the left, exp(J) diagonal on the right
+    for p in range(ell - 1):
+        for q in range(p + 1, ell):
+            for m in range(n):
+                X[p, m] += Sbar[q, m] * I_factor(m, q - p)
+    # superdiagonal on both sides (Beta integral)
+    for p in range(ell - 1):
+        for q in range(p + 1, ell):
+            for r in range(ell - 1):
+                for nn in range(r + 1, ell):
+                    k = (q - p) + (nn - r) + 1
+                    X[p, nn] += Sbar[q, r] * e1t * t ** k / math.factorial(k)
+    return _require_real(spec.M @ X @ spec.Minv, 1e-9, "reference_dderiv_jordan")

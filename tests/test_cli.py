@@ -1278,6 +1278,21 @@ class TestNonFiniteNumbers:
             "config error: grid.t_end: must be a finite number, got inf")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("targets, bad", [
+        (["--targets", "0.9", "nan"], "nan"), (["--targets", "inf", "0.9"], "inf"),
+        (["--targets=-inf"], "-inf")], ids=["nan", "inf", "-inf"])
+    def test_table1_targets(self, targets, bad, tmp_path, capsys):
+        # a NaN fidelity is not an unreachable one
+        argv = ["table1", "--chain", "n2", "--out-dir", str(tmp_path)]
+        assert main([*argv, *targets]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --targets: a fidelity must be finite, "
+                                f"got {bad}\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--targets", "1.5"]) == 0  # finite, out of range
+        assert "fidelity 1.5: |s| = unreachable" in capsys.readouterr().out
+
 
 # A valid config of each kind holding every numeric field it takes.
 NUMBER_BASES = {

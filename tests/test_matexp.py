@@ -9,13 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import make_jordan_system
+from conftest import (
+    make_jordan_system,
+    reference_dderiv_diag,
+    reference_dderiv_jordan,
+    reference_phi_matrix,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from logsens import matexp
 from logsens.matexp import (
+    Couplings,
     QuadratureWarning,
     Spectrum,
     _quadrature,
@@ -210,6 +216,13 @@ class TestDderivDiag:
         ref = dderiv_oracle_quadrature(SPRING_A0, SPRING_S, 1.0, abs_tol=1e-12)
         assert np.max(np.abs(got - ref)) < 1e-8
 
+    def test_mismatched_sbar_refused(self):
+        # a hand-built Couplings whose Sbar would broadcast against the kernel
+        spec = eig_decompose(SPRING_A0)
+        coup = Couplings(z=np.ones(2), w=np.ones(2), Sbar=np.ones((1, 1)))
+        with pytest.raises(ValueError, match="Sbar must have shape"):
+            dderiv_diag(spec, coup, 1.0)
+
     def test_refuses_defective(self):
         spec = Spectrum.from_jordan([-1.0, -1.0], np.eye(2), [(0, 2)])
         coup = couplings(spec, np.eye(2), [1.0, 0.0], [0.0, 1.0])
@@ -275,6 +288,87 @@ class TestDderivJordan:
         spec = eig_decompose(SPRING_A0)
         with pytest.raises(ValueError, match="dderiv_diag"):
             dderiv_jordan(spec, np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("Sbar", [
+        np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0), np.ones((4, 4)),
+        np.ones(3), np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+    ], ids=["row", "column", "scalar", "too_large", "vector", "nan", "inf"])
+    def test_malformed_sbar_refused(self, Sbar):
+        _, spec = make_jordan_system(np.random.default_rng(0), [2], n_extra=1)
+        with pytest.raises(ValueError, match="Sbar"):
+            dderiv_jordan(spec, Sbar, 1.0)
+
+    def test_negative_time_refused(self):
+        spec = Spectrum.from_jordan([-1.0, -1.0], np.eye(2), [(0, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            dderiv_jordan(spec, np.ones((2, 2)), -1.0)
+
+    @pytest.mark.parametrize("sizes, n_extra, eigenvalues", [
+        ([2, 3], 1, None),
+        ([2, 1, 3], 0, None),
+        ([1, 2], 1, [-0.2, -0.6]),
+        ([1, 1, 3], 1, [-0.1, -0.4, -0.9]),
+        ([2], 1, [-0.2 + 1.0j]),
+        ([1, 3, 2], 0, [-0.15, -0.3 + 0.7j, -0.8]),
+    ], ids=["two_blocks_one_eigenvalue", "three_blocks_one_eigenvalue",
+            "block_at_index_1", "block_at_index_2", "conjugate_pair",
+            "pair_and_trailing_block"])
+    def test_any_layout_matches_blockaug(self, sizes, n_extra, eigenvalues):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            A, spec = make_jordan_system(rng, sizes, n_extra, eigenvalues=eigenvalues)
+            S = rng.standard_normal((spec.n, spec.n))
+            Sbar = spec.Minv @ S @ spec.M
+            for t in (0.0, 0.4, 3.0, 11.0):
+                got = dderiv_jordan(spec, Sbar, t)
+                ref = dderiv_oracle_blockaug(A, S, t)
+                assert np.max(np.abs(got - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
+
+
+class TestModalKernelReferences:
+    """``phi_matrix``, ``dderiv_diag`` and ``dderiv_jordan`` are entry
+    points to one modal kernel; the closed forms each replaced stay in
+    ``conftest`` as independent references."""
+
+    @staticmethod
+    def rel(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_diag_matches_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            A = random_stable(rng, n, re_max=-rng.uniform(0.0, 0.5))
+            spec = eig_decompose(A)
+            coup = couplings(spec, rng.standard_normal((n, n)),
+                             rng.standard_normal(n), rng.standard_normal(n))
+            for t in (0.3, 2.0, 9.0):
+                assert self.rel(phi_matrix(spec, t), reference_phi_matrix(spec, t)) <= 1e-12
+                assert self.rel(dderiv_diag(spec, coup, t),
+                                reference_dderiv_diag(spec, coup, t)) <= 1e-12
+
+    def test_diag_repeated_eigenvalues_match_reference(self):
+        # clusters take the t e^{lam t} branch in both
+        rng = np.random.default_rng(8)
+        M = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        A = M @ np.diag([-0.5, -0.5, -0.5, -1.0, -2.0]) @ np.linalg.inv(M)
+        spec = eig_decompose(A)
+        coup = couplings(spec, rng.standard_normal((5, 5)), np.ones(5), np.ones(5))
+        assert (0, 1, 2) in spec.clusters
+        assert self.rel(dderiv_diag(spec, coup, 1.7),
+                        reference_dderiv_diag(spec, coup, 1.7)) <= 1e-12
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_jordan_matches_reference(self, ell):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            _, spec = make_jordan_system(rng, [ell], n_extra=seed % 4,
+                                         lam1=-rng.uniform(0.05, 0.5),
+                                         spread=rng.uniform(0.4, 1.5))
+            Sbar = spec.Minv @ rng.standard_normal((spec.n, spec.n)) @ spec.M
+            for t in (0.3, 2.0, 9.0):
+                assert self.rel(dderiv_jordan(spec, Sbar, t),
+                                reference_dderiv_jordan(spec, Sbar, t)) <= 1e-12
 
 
 class TestFromJordanValidation:

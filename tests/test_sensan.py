@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import make_jordan_system, peak_mib
+from conftest import make_jordan_system, peak_mib, reference_dderiv_jordan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -582,8 +582,9 @@ class TestMirrorIdentity:
 
 def reference_jordan_trace(sys, spec, times):
     """The per-sample loop the modal evaluator replaced on Jordan spectra:
-    ``dderiv_jordan`` at every time (one dominant block only), and the error
-    summed along each block at its leading eigenvalue."""
+    the closed-form ``reference_dderiv_jordan`` at every time (one dominant
+    block only), and the error summed along each block at its leading
+    eigenvalue."""
     coup = sys.couplings(spec)
     lam = spec.eigenvalues
     error, derror = np.empty(len(times)), np.empty(len(times))
@@ -595,7 +596,7 @@ def reference_jordan_trace(sys, spec, times):
                     val += (coup.z[p] * coup.w[q] * np.exp(lam[start] * t)
                             * t ** (q - p) / math.factorial(q - p))
         error[i] = val.real
-        derror[i] = float(sys.c @ dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
+        derror[i] = float(sys.c @ reference_dderiv_jordan(spec, coup.Sbar, t) @ sys.v)
     return error, derror
 
 
@@ -695,6 +696,20 @@ class TestJordanModal:
         tr = trace(sys, grid, spectrum=spec)
         ref = trace(sys, grid, method="blockaug")
         assert column_dev((tr.error, tr.derror), (ref.error, ref.derror)) <= 1e-9
+
+    @pytest.mark.parametrize("sizes, n_extra, eigenvalues", [
+        ([3], 2, None), ([2, 2], 1, None), ([1, 3], 1, [-0.2, -0.6]),
+        ([2, 1], 0, [-0.2 + 1.0j, -0.7]),
+    ], ids=["leading_block", "two_blocks_one_eigenvalue", "block_at_index_1",
+            "conjugate_pair"])
+    def test_matrix_kernel_contracts_to_trace(self, sizes, n_extra, eigenvalues):
+        # dderiv_jordan and _modal are two contractions of one kernel
+        sys, spec = jordan_case(4, sizes, n_extra, eigenvalues=eigenvalues)
+        grid = np.linspace(0.0, 30.0, 61)
+        derror = trace(sys, grid, spectrum=spec).derror
+        Sbar = sys.couplings(spec).Sbar
+        got = [sys.c @ dderiv_jordan(spec, Sbar, t) @ sys.v for t in grid]
+        assert np.max(np.abs(got - derror)) <= 1e-12 * np.max(np.abs(derror))
 
     def test_never_calls_dderiv_jordan(self, monkeypatch):
         import logsens.matexp as matexp
