@@ -11,11 +11,11 @@ Subcommands
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
 failure (a trace with a non-finite e or de/dxi included), out of memory, a CSV
 worker process that died or an output that cannot be written (each with
-one line on stderr), 2 config error (so are a non-finite number or a bool
-where a number belongs, a config a scenario builder refuses, a grid over
-``MAX_GRID_ROWS`` samples or with merging times, a chain over
-``MAX_CHAIN_SITES`` sites, output names that are empty, end in a separator
-or name one file twice, a non-finite ``table1 --targets`` value).
+one line on stderr), 2 config error (so are a usage error, a non-finite
+number or a bool where a number belongs, a config a scenario builder
+refuses, a grid over ``MAX_GRID_ROWS`` samples or with merging times, a
+chain over ``MAX_CHAIN_SITES`` sites, output names that are empty, end in a
+separator or name one file twice, a non-finite ``table1 --targets`` value).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/BLAS build and BLAS thread count: no timestamps, sorted
@@ -779,8 +779,15 @@ def _default_out_dir(explicit):
     return explicit or os.environ.get("LOGSENS_OUT_DIR", ".")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ``ConfigError``s: one line, exit 2 (``-h`` exits 0)."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logsens",
         description="Time-domain log-sensitivity analysis of error signals.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -801,8 +808,8 @@ def main(argv=None) -> int:
     p_tab.add_argument("--targets", type=float, nargs="*", default=None)
     p_tab.add_argument("--out-dir", default=None)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             cfg = _load_config(args.config, args.grid, args.method)
             report = run_scenario(cfg, _default_out_dir(args.out_dir))
@@ -841,7 +848,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError, ValueError) as e:
+    except (ArithmeticError, ValueError) as e:  # LinAlgError is a ValueError
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:
@@ -853,7 +860,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"cannot write output: {e}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -7,18 +7,18 @@ structure matrix ``S``,
 
 which this module evaluates three independent ways:
 
-* ``dderiv_diag`` / ``dderiv_jordan`` -- the modal form, one kernel
-  (``_kernel``) for diagonalizable A and for any Jordan layout
+* ``dderiv_diag`` / ``dderiv_jordan`` -- the modal form, one evaluator
+  (``_dderiv``) with two signatures, for any Jordan layout or none
 * ``dderiv_oracle_quadrature`` -- adaptive Gauss-Legendre quadrature of the
   defining integral
 * ``dderiv_oracle_blockaug``   -- upper-right block of ``expm(t*[[A,S],[0,A]])``
 
 plus a central finite-difference cross-check (``dderiv_oracle_fd``) in the
 deviation form ``_fd_generator``, which does not cancel and which
-``sensan.trace`` steps too.  The analytic paths require an
-eigendecomposition with deterministic ordering, provided by
-``eig_decompose``; hand-built defective systems supply their Jordan data
-through ``Spectrum.from_jordan``.  The oracles' matrix
+``sensan.trace`` steps too.  The analytic paths run on a ``Spectrum``,
+``eig_decompose``'s (ordered) or Jordan data from ``Spectrum.from_jordan``;
+``Spectrum.analytic_refusal`` alone decides whether they may, and refuses
+the computed eigenbasis of a defective matrix.  The oracles' matrix
 exponentials come from ``expm``, a numpy-only scaling and squaring over a
 stack of matrices, so the program loads one BLAS (numpy's) and one thread
 pool; the tests check it against ``scipy.linalg.expm``.
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-8
-NEAR_DEFECTIVE_COND = 1e12
+NEAR_DEFECTIVE_COND = 1e6
 
 
 def _as_square(A, name="A"):
@@ -81,21 +81,20 @@ def _oracle_input(A, S, t):
     return A, S
 
 
-def _refuse_imaginary(resid, absmax, tol, context):
+def _refuse_imaginary(resid, absmax, tol, context, use="--method blockaug|quadrature|fd"):
     """Raise unless the largest |Im| of a result, ``resid``, is at most
-    ``tol * max(1, absmax)`` with ``absmax`` its largest modulus."""
+    ``tol * max(1, absmax)`` with ``absmax`` its largest modulus; the
+    message names ``use``, the caller's alternative to the analytic path."""
     if resid > tol * max(1.0, absmax):
         raise ArithmeticError(
             f"{context}: imaginary residue {resid:.3e} exceeds {tol:.1e}*scale; "
-            "matrix may be too ill-conditioned for the analytic path "
-            "(use dderiv_oracle_blockaug or dderiv_oracle_quadrature)"
-        )
+            f"matrix may be too ill-conditioned for the analytic path (use {use})")
 
 
 def _require_real(X, tol, context):
     """Strip an imaginary residue after checking it is numerically negligible."""
     _refuse_imaginary(float(np.max(np.abs(X.imag))), float(np.max(np.abs(X))),
-                      tol, context)
+                      tol, context, "dderiv_oracle_blockaug or dderiv_oracle_quadrature")
     return np.ascontiguousarray(X.real)
 
 
@@ -131,8 +130,8 @@ class Spectrum:
 
     @property
     def analytic_refusal(self) -> str:
-        """Why the analytic path refuses this spectrum, or "": a
-        near-defective spectrum that carries no Jordan data."""
+        """Why every analytic path (``_modal``, ``_dderiv``, ``classify``)
+        refuses this spectrum, or "": near-defective without Jordan data."""
         return (f"spectrum is near-defective (cond_M = {self.cond_M:.2e})"
                 if self.near_defective and not self.is_defective else "")
 
@@ -194,7 +193,11 @@ class Spectrum:
         lead = np.arange(len(lam))
         for s, z in blocks:
             lead[s:s + z] = s
-        return cls(lam, M, np.linalg.inv(M), tuple(_cluster_indices(lam[lead])),
+        try:
+            Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:  # exactly parallel columns: cond_M ~ 1/eps
+            Minv = np.linalg.pinv(M)
+        return cls(lam, M, Minv, tuple(_cluster_indices(lam[lead])),
                    tuple(blocks), float(np.linalg.cond(M)))
 
 
@@ -247,10 +250,10 @@ def eig_decompose(A) -> Spectrum:
     """Eigendecompose a real square matrix with deterministic ordering.
 
     Eigenvalues within ``DEFAULT_CLUSTER_TOL * (1 + max |lam|)`` of each
-    other share a cluster.  Raises ``np.linalg.LinAlgError`` on solver
-    failure.  A condition number of the eigenvector matrix above 1e12 flags
-    the spectrum as near-defective; analytic derivative paths then refuse
-    and defer to the oracles.
+    other share a cluster.  Raises ``np.linalg.LinAlgError`` if ``eig`` fails.
+    Eigenvectors with cond_M above ``NEAR_DEFECTIVE_COND`` (1e6) make the
+    spectrum near-defective, which the analytic paths refuse: rounding splits
+    a size-k Jordan block ~eps^(1/k) apart, at cond_M >~ eps^(-1/2) ~ 7e7.
     """
     lam, M = np.linalg.eig(_as_square(A))
     order = np.lexsort((-np.sign(lam.imag), np.abs(lam.imag), -lam.real))
@@ -310,6 +313,8 @@ def _dderiv(spec: Spectrum, Sbar, t, context):
     """D_S(t, A) = M X Minv with X = sum_{i,j} N^i (K^{ij}(t) * Sbar) N^j,
     N the shift along each Jordan chain: X[a, b] += Y[a+i, b-j] where both
     stay on their chains.  ``Sbar`` must be a finite ``(n, n)`` matrix."""
+    if spec.analytic_refusal:
+        raise ValueError(f"{spec.analytic_refusal}; use dderiv_oracle_blockaug/quadrature")
     Sbar = _as_square(Sbar, "Sbar")
     if Sbar.shape != (spec.n, spec.n):
         raise ValueError(f"Sbar must have shape {(spec.n, spec.n)}, got {Sbar.shape}")
@@ -332,23 +337,15 @@ def phi_matrix(spec: Spectrum, t: float) -> np.ndarray:
 
 
 def dderiv_diag(spec: Spectrum, coup: Couplings, t: float) -> np.ndarray:
-    """Directional derivative of expm via the eigenbasis Hadamard product
-    ``M (Sbar * phi_matrix) Minv`` (``_dderiv``), for a diagonalizable
-    spectrum: repeated eigenvalues are fine while ``M`` is well conditioned."""
-    if spec.is_defective:
-        raise ValueError("spectrum has nontrivial Jordan blocks: use dderiv_jordan")
-    if spec.analytic_refusal:
-        raise ValueError(f"{spec.analytic_refusal}; use "
-                         "dderiv_oracle_blockaug/quadrature")
+    """Directional derivative of expm in the modal form (``_dderiv``), from
+    the couplings' ``Sbar``: on a spectrum without Jordan blocks, the
+    eigenbasis Hadamard product ``M (Sbar * phi_matrix) Minv``."""
     return _dderiv(spec, coup.Sbar, t, "dderiv_diag")
 
 
 def dderiv_jordan(spec: Spectrum, Sbar, t: float) -> np.ndarray:
-    """Directional derivative for a spectrum with nontrivial Jordan blocks,
-    in any layout ``Spectrum.from_jordan`` accepts (``_dderiv``).  ``Sbar =
-    Minv S M`` must be a finite ``(n, n)`` matrix."""
-    if not spec.is_defective:
-        raise ValueError("spectrum carries no nontrivial Jordan block: use dderiv_diag")
+    """``dderiv_diag``, bit for bit, from ``Sbar = Minv S M`` given as a
+    finite ``(n, n)`` matrix: any layout ``Spectrum.from_jordan`` accepts."""
     return _dderiv(spec, Sbar, t, "dderiv_jordan")
 
 

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import peak_mib
+from conftest import make_jordan_system, peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -632,6 +632,56 @@ class TestNearDefective:
         assert spot["methods"] == ["analytic", "blockaug"]
 
 
+# Generators whose computed eigenbasis is that of a defective matrix: an
+# exact size-2 Jordan block that numpy's eig meets as two exactly parallel
+# eigenvectors, and double poles that rounding splits about sqrt(eps) apart.
+DEFECTIVE_BASES = {
+    "exact_block": {"kind": "custom", "grid": {"t_end": 10.0, "dt": 0.01},
+                    "parameters": {"A1": make_jordan_system(
+                        np.random.default_rng(123595), [2], eigenvalues=[-0.4])[0].tolist(),
+                        "S": [[0.0, 0.0], [1.0, 0.0]], "c": [1.0, 0.0],
+                        "v": [0.0, 1.0], "xi0": 0.0}},
+    "rlc_double_pole": {"kind": "rlc", "parameters": {"poles": [-1, -1, -4]}},
+    "spring_mass_double_pole": {"kind": "spring_mass", "parameters": {"poles": [-3, -3]}},
+}
+
+
+class TestDefectiveBases:
+    """One verdict on every defective eigenbasis: the analytic path refuses
+    it up front with one line, the oracle paths run and classify it
+    Inconclusive, and ``check`` compares the oracles alone."""
+
+    @pytest.fixture(params=sorted(DEFECTIVE_BASES))
+    def cfg(self, request, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(DEFECTIVE_BASES[request.param]))
+        return str(p)
+
+    def test_analytic_run_refuses_in_one_line(self, cfg, tmp_path, capsys):
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.fullmatch(r"numerical failure: spectrum is near-defective \(cond_M = "
+                            r"\S+\); use --method blockaug\|quadrature\|fd, or "
+                            r"Spectrum\.from_jordan data\n", captured.err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_oracle_run_is_inconclusive(self, cfg, tmp_path, capsys):
+        assert main(["run", cfg, "--method", "blockaug", "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "classification: Inconclusive" in out and "cond_M" in out
+        for name in ("report.json", "trace.csv"):
+            assert "nan" not in (tmp_path / name).read_text().lower().replace(
+                "provenance", "")
+
+    def test_check_skips_analytic(self, cfg, capsys):
+        assert main(["check", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "cond_M" in out["skipped"]["analytic"]
+        assert not any(p.startswith("analytic") for p in out["pairs"])
+        assert out["max_rel_deviation"] < 1e-9
+
+
 class TestOracleSpotCheck:
     def test_pairs_keep_fd_truncation_apart(self, tmp_path):
         # the five-time spot check of ``run`` leaves fd out on a
@@ -1009,6 +1059,18 @@ class TestMainExitCodes:
         assert rc == 0
         assert "LinearReal" in capsys.readouterr().out
 
+    def test_uncoupled_dominant_mode_is_inconclusive(self, tmp_path, capsys):
+        # S touches only the fast mode of A0 = diag(-0.1, -1); the slow one,
+        # still read out, outlives it
+        cfg = self.write(tmp_path, {"kind": "custom", "parameters": {
+            "A1": [[-0.1, 0.0], [0.0, -2.0]], "S": [[0.0, 0.0], [0.0, 1.0]],
+            "c": [1.0, 1.0], "v": [1.0, 1.0], "xi0": 1.0}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "classification: Inconclusive",
+            "diagnostic: a structurally uncoupled mode dominates the error decay; "
+            "log-sensitivity need not diverge"]
+
     def test_config_error_is_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, {"kind": "sprong_mass"})
         assert main(["run", cfg]) == 2
@@ -1177,6 +1239,27 @@ class TestMainExitCodes:
                                     "grid": {"t_start": 1.0, "t_end": 5.0}})
         assert main(["check", cfg, "--samples", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["worst_pair"] is not None
+
+    @pytest.mark.parametrize("argv, err", [
+        (["table1", "--chain", "n2", "--targets", "0.9", "-inf"],
+         "logsens: unrecognized arguments: -inf"),
+        (["frob"], "logsens: argument command: invalid choice: 'frob' "
+                   "(choose from 'run', 'check', 'table1')"),
+        (["run"], "logsens run: the following arguments are required: config"),
+        (["check", "cfg.json", "--samples", "x"],
+         "logsens check: argument --samples: invalid int value: 'x'"),
+    ], ids=["negative_target", "unknown_command", "run_without_config",
+            "samples_not_int"])
+    def test_usage_error_is_one_line(self, argv, err, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {err}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["run", "-h"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: logsens run")
 
 
 class TestGridBudget:

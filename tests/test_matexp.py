@@ -101,6 +101,29 @@ class TestEigDecompose:
         spec = eig_decompose(A)
         assert spec.near_defective
 
+    def test_exactly_parallel_eigenvectors_are_near_defective(self):
+        # np.linalg.eig returns two equal columns for this exact size-2
+        # block, so M is singular: a refusal, with a finite Minv, not a crash
+        A, _ = make_jordan_system(np.random.default_rng(123595), [2], eigenvalues=[-0.4])
+        spec = eig_decompose(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(spec.M)
+        assert "near-defective" in spec.analytic_refusal
+        assert np.all(np.isfinite(spec.Minv))
+
+    @pytest.mark.parametrize("sizes, n_extra, eigenvalues", [
+        ([2], 0, None), ([2], 1, None), ([3], 0, None), ([3], 1, None),
+        ([2], 0, [-0.2 + 1.0j]), ([2, 1], 1, [-0.2, -0.6]),
+    ])
+    def test_rounding_split_blocks_refused(self, sizes, n_extra, eigenvalues):
+        # rounding splits a size-k block about eps^(1/k) apart; its computed
+        # eigenvectors are then nearly parallel, cond_M >= ~eps^(-1/2)
+        for seed in range(10):
+            A, _ = make_jordan_system(np.random.default_rng(seed), sizes, n_extra,
+                                      eigenvalues=eigenvalues)
+            spec = eig_decompose(A)
+            assert spec.cond_M > 1e7 and spec.analytic_refusal
+
 
 class TestCouplings:
     def test_conjugate_pairs(self):
@@ -223,11 +246,24 @@ class TestDderivDiag:
         with pytest.raises(ValueError, match="Sbar must have shape"):
             dderiv_diag(spec, coup, 1.0)
 
-    def test_refuses_defective(self):
-        spec = Spectrum.from_jordan([-1.0, -1.0], np.eye(2), [(0, 2)])
+    def test_equals_dderiv_jordan_on_a_jordan_layout(self):
+        rng = np.random.default_rng(5)
+        _, spec = make_jordan_system(rng, [2, 1], n_extra=1)
+        coup = couplings(spec, rng.standard_normal((4, 4)), rng.standard_normal(4),
+                         rng.standard_normal(4))
+        for t in (0.0, 0.5, 3.0):
+            got = dderiv_diag(spec, coup, t)
+            assert got.tobytes() == dderiv_jordan(spec, coup.Sbar, t).tobytes()
+
+    def test_both_entry_points_refuse_near_defective(self):
+        # the exact Jordan block eig_decompose meets as exactly parallel columns
+        A, _ = make_jordan_system(np.random.default_rng(123595), [2], eigenvalues=[-0.4])
+        spec = eig_decompose(A)
         coup = couplings(spec, np.eye(2), [1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="Jordan"):
-            dderiv_diag(spec, coup, 1.0)
+        for call in (lambda: dderiv_diag(spec, coup, 1.0),
+                     lambda: dderiv_jordan(spec, coup.Sbar, 1.0)):
+            with pytest.raises(ValueError, match="near-defective.*dderiv_oracle_blockaug"):
+                call()
 
     def test_repeated_diagonalizable_eigenvalue(self):
         # lam = -1 twice (diagonalizable), -4 simple
@@ -284,10 +320,12 @@ class TestDderivJordan:
         np.testing.assert_allclose(dderiv_jordan(spec, np.zeros((2, 2)), 2.0),
                                    0.0, atol=1e-15)
 
-    def test_trivial_block_refused(self):
+    def test_equals_dderiv_diag_on_a_diagonal_layout(self):
         spec = eig_decompose(SPRING_A0)
-        with pytest.raises(ValueError, match="dderiv_diag"):
-            dderiv_jordan(spec, np.eye(2), 1.0)
+        coup = couplings(spec, SPRING_S, [1.0, 0.0], [1.0, 0.0])
+        for t in (0.0, 0.5, 3.0):
+            got = dderiv_jordan(spec, coup.Sbar, t)
+            assert got.tobytes() == dderiv_diag(spec, coup, t).tobytes()
 
     @pytest.mark.parametrize("Sbar", [
         np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0), np.ones((4, 4)),

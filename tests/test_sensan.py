@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from conftest import make_jordan_system, peak_mib, reference_dderiv_jordan
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -277,8 +277,13 @@ class TestModalEvaluator:
                         clusters=((0,), (1,)))
         sys = ErrorSystem(A0=np.diag([-1.0, -2.0]), S=np.ones((2, 2)),
                           c=[1.0, 1.0], v=[1.0, 1.0], xi0=1.0)
-        with pytest.raises(ArithmeticError, match="imaginary residue"):
+        # the refusal names the trace's alternatives, not the matrix oracles
+        with pytest.raises(ArithmeticError, match=r"imaginary residue.*\(use "
+                           r"--method blockaug\|quadrature\|fd\)$"):
             trace(sys, np.linspace(0.0, 2.0, 5), spectrum=spec)
+        with pytest.raises(ArithmeticError, match=r"\(use dderiv_oracle_blockaug "
+                           r"or dderiv_oracle_quadrature\)$"):
+            dderiv_jordan(spec, np.ones((2, 2)), 2.0)
 
     def test_kept_coefficients_follow_the_spectrum(self):
         sys = similar_system(5, [-1.0, -2.0])
@@ -651,6 +656,9 @@ class TestJordanModal:
 
     @given(jordan_layouts(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60)
+    # an exact size-2 block whose eigenvectors numpy returns exactly parallel:
+    # the ErrorSystem's own spectrum is near-defective, not a singular matrix
+    @example(layout=([2], [-0.4 + 0j]), seed=123595)
     def test_matches_blockaug(self, layout, seed):
         sizes, eigenvalues = layout
         sys, spec = jordan_case(seed, sizes, eigenvalues=eigenvalues)
@@ -1107,6 +1115,31 @@ class TestClassify:
         assert cls.kind == "LinearReal"
         assert 0 in cls.pruned_modes
         assert cls.slope == pytest.approx(2.0 * 0.8, abs=1e-12)
+
+    def test_structurally_uncoupled_mode_dominates(self):
+        # S touches only the fast mode; the slow one, still read out, sets
+        # the error's decay
+        cls = classify_system(np.diag([-0.1, -1.0]), [[0.0, 0.0], [0.0, 1.0]],
+                              [1.0, 1.0], [1.0, 1.0], 1.0)
+        assert (cls.kind, cls.pruned_modes, cls.sigma) == ("Inconclusive", (0,), 1.0)
+        assert "structurally uncoupled mode dominates" in cls.diagnostic
+
+    def test_vanishing_denominator_weight(self):
+        # a repeated eigenvalue whose modal weights z * w = (1, -1) cancel
+        cls = classify_system(-np.eye(2), [[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0],
+                              [1.0, -1.0], 1.0)
+        assert cls.kind == "Inconclusive"
+        assert cls.diagnostic == "dominant cluster has vanishing denominator weight b0"
+
+    def test_unevenly_spaced_minima(self):
+        # a zero-frequency mode beside one pair on the dominant axis: the
+        # modal sum is e^(-0.1 t) (0.5 + cos t), whose zeros 2 pi / 3 and
+        # 4 pi / 3 split the period 1 : 2
+        A = np.zeros((3, 3))
+        A[0, 0], A[1:, 1:] = -0.1, [[-0.1, 1.0], [-1.0, -0.1]]
+        cls = classify_system(A, np.ones((3, 3)), [0.5, 1.0, 0.0], [1.0, 1.0, 0.0], 1.0)
+        assert (cls.kind, cls.sigma) == ("Inconclusive", pytest.approx(0.1))
+        assert cls.diagnostic == "dominant oscillation has unevenly spaced minima"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
