@@ -10,63 +10,10 @@ perfect-state-transfer spin chains), plus a scenario CLI.
 
 __version__ = "0.1.0"
 
-from .matexp import (
-    Couplings,
-    Spectrum,
-    couplings,
-    dderiv_diag,
-    dderiv_jordan,
-    dderiv_oracle_blockaug,
-    dderiv_oracle_fd,
-    dderiv_oracle_quadrature,
-    eig_decompose,
-    phi_matrix,
-)
-from .sensan import (
-    DivergenceClassification,
-    ErrorSystem,
-    SensitivityTrace,
-    classify,
-    detect_spikes,
-    error_derivative,
-    error_signal,
-    fit_polynomial_degree,
-    fit_slope,
-    log_sensitivity,
-    spike_schedule,
-    trace,
-)
-from .classical import (
-    ClosedLoop,
-    OpenLoopPlant,
-    close_loop,
-    place_poles,
-    rlc_scenario,
-    spring_mass_scenario,
-)
-from .quantum import (
-    BlochModel,
-    HermitianBasis,
-    bloch_coherent,
-    bloch_dissipator,
-    bloch_state,
-    gellmann_basis,
-    spin_chain_scenario,
-    steady_state,
-    two_qubit_scenario,
-)
+from . import classical, matexp, quantum, sensan
+from .matexp import *  # noqa: F401,F403
+from .sensan import *  # noqa: F401,F403
+from .classical import *  # noqa: F401,F403
+from .quantum import *  # noqa: F401,F403
 
-__all__ = [
-    "Couplings", "Spectrum", "couplings", "dderiv_diag", "dderiv_jordan",
-    "dderiv_oracle_blockaug", "dderiv_oracle_fd", "dderiv_oracle_quadrature",
-    "eig_decompose", "phi_matrix",
-    "DivergenceClassification", "ErrorSystem", "SensitivityTrace", "classify",
-    "detect_spikes", "error_derivative", "error_signal",
-    "fit_polynomial_degree", "fit_slope", "log_sensitivity", "spike_schedule",
-    "trace",
-    "ClosedLoop", "OpenLoopPlant", "close_loop", "place_poles", "rlc_scenario",
-    "spring_mass_scenario",
-    "BlochModel", "HermitianBasis", "bloch_coherent", "bloch_dissipator",
-    "bloch_state", "gellmann_basis", "spin_chain_scenario", "steady_state",
-    "two_qubit_scenario",
-]
+__all__ = [*matexp.__all__, *sensan.__all__, *classical.__all__, *quantum.__all__]

@@ -49,7 +49,7 @@ import numpy as np
 from . import __version__
 from .classical import RLC_LAMBDA3_DEFAULT, close_loop, rlc_scenario, spring_mass_scenario
 from .matexp import couplings
-from .quantum import spin_chain_scenario, two_qubit_scenario
+from .quantum import TWO_QUBIT_PERTURBATIONS, spin_chain_scenario, two_qubit_scenario
 from .sensan import (
     DERIVATIVE_METHODS,
     ErrorSystem,
@@ -250,9 +250,9 @@ def _validate_parameters(kind, raw):
         _reject_unknown(p, {"perturbation", "alpha", "Delta", "gamma", "rho0",
                             "fit_window"}, "parameters")
         pert = _want(p.get("perturbation"), "parameters.perturbation", str, "S1")
-        if pert not in ("S1", "S2", "S3", "S4"):
+        if pert not in TWO_QUBIT_PERTURBATIONS:
             raise ConfigError("parameters.perturbation",
-                              "must be one of S1, S2, S3, S4")
+                              f"must be one of {', '.join(TWO_QUBIT_PERTURBATIONS)}")
         out["perturbation"] = pert
         out["alpha"] = _vector(p.get("alpha", [1.0, 1.0]), "parameters.alpha", 2).tolist()
         out["Delta"] = _vector(p.get("Delta", [-0.1, 0.1]), "parameters.Delta", 2).tolist()
@@ -283,8 +283,7 @@ def _validate_parameters(kind, raw):
             raise ConfigError("parameters.excitation_site", f"must be in 1..{N}")
         out["excitation_site"] = site
     elif kind == "custom":
-        _reject_unknown(p, {"A1", "b", "c", "S", "v", "xi0", "fit_window"},
-                        "parameters")
+        _reject_unknown(p, {"A1", "c", "S", "v", "xi0", "fit_window"}, "parameters")
         A1 = _matrix(_want(p.get("A1"), "parameters.A1", list, required=True),
                      "parameters.A1")
         n = A1.shape[0]
@@ -296,8 +295,6 @@ def _validate_parameters(kind, raw):
                     "parameters.c", size=n)
         v = _vector(_want(p.get("v"), "parameters.v", list, required=True),
                     "parameters.v", size=n)
-        if p.get("b") is not None:
-            out["b"] = _vector(p["b"], "parameters.b", size=n).tolist()
         out.update(A1=A1.tolist(), S=S.tolist(), c=c.tolist(), v=v.tolist())
         out["xi0"] = float(_number(p.get("xi0"), "parameters.xi0", 1.0))
     out["fit_window"] = _window(p.get("fit_window"), "parameters.fit_window",

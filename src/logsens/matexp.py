@@ -59,6 +59,8 @@ __all__ = [
 
 DEFAULT_CLUSTER_TOL = 1e-8
 NEAR_DEFECTIVE_COND = 1e6
+# The alternative the analytic ``dderiv_*`` name where they refuse.
+_ORACLE_ADVICE = "dderiv_oracle_blockaug or dderiv_oracle_quadrature"
 
 
 def _as_square(A, name="A"):
@@ -81,7 +83,7 @@ def _oracle_input(A, S, t):
     return A, S
 
 
-def _refuse_imaginary(resid, absmax, tol, context, use="--method blockaug|quadrature|fd"):
+def _refuse_imaginary(resid, absmax, tol, context, use):
     """Raise unless the largest |Im| of a result, ``resid``, is at most
     ``tol * max(1, absmax)`` with ``absmax`` its largest modulus; the
     message names ``use``, the caller's alternative to the analytic path."""
@@ -94,7 +96,7 @@ def _refuse_imaginary(resid, absmax, tol, context, use="--method blockaug|quadra
 def _require_real(X, tol, context):
     """Strip an imaginary residue after checking it is numerically negligible."""
     _refuse_imaginary(float(np.max(np.abs(X.imag))), float(np.max(np.abs(X))),
-                      tol, context, "dderiv_oracle_blockaug or dderiv_oracle_quadrature")
+                      tol, context, _ORACLE_ADVICE)
     return np.ascontiguousarray(X.real)
 
 
@@ -314,7 +316,7 @@ def _dderiv(spec: Spectrum, Sbar, t, context):
     N the shift along each Jordan chain: X[a, b] += Y[a+i, b-j] where both
     stay on their chains.  ``Sbar`` must be a finite ``(n, n)`` matrix."""
     if spec.analytic_refusal:
-        raise ValueError(f"{spec.analytic_refusal}; use dderiv_oracle_blockaug/quadrature")
+        raise ValueError(f"{spec.analytic_refusal}; use {_ORACLE_ADVICE}")
     Sbar = _as_square(Sbar, "Sbar")
     if Sbar.shape != (spec.n, spec.n):
         raise ValueError(f"Sbar must have shape {(spec.n, spec.n)}, got {Sbar.shape}")

@@ -65,6 +65,8 @@ _BLOCK = 1024
 # The derivative paths of ``trace``; the order fixes the pair names of
 # ``logsens check``.
 DERIVATIVE_METHODS = ("analytic", "quadrature", "blockaug", "fd")
+# The CLI's alternative where the analytic path refuses a spectrum.
+_METHOD_ADVICE = "--method " + "|".join(m for m in DERIVATIVE_METHODS if m != "analytic")
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,8 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     judged once, against the whole trace's largest modulus.
     """
     if spec.analytic_refusal:
-        raise ValueError(f"{spec.analytic_refusal}; use --method "
-                         "blockaug|quadrature|fd, or Spectrum.from_jordan data")
+        raise ValueError(f"{spec.analytic_refusal}; use {_METHOD_ADVICE}, "
+                         "or Spectrum.from_jordan data")
     kept = sys.__dict__.get("_modal_coefficients")
     if kept is None or kept[0] is not spec:
         coup, p = sys.couplings(spec), np.arange(spec.n)
@@ -221,7 +223,7 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
         resid = max(resid, float(np.max(np.abs(X.imag))))
         absmax = max(absmax, float(np.max(np.abs(X))))
         del E, Er  # one block's rows at a time
-    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
+    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative", _METHOD_ADVICE)
     return error, derror
 
 
@@ -481,12 +483,25 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     Modes whose structure couplings all vanish, or whose z_m*w_m product is
     negligible (readout or initial state annihilates them, as for the
     steady-state mode of the open two-qubit system), are pruned before the
-    dominant eigenvalue is identified.
+    dominant eigenvalue is identified.  A near-defective spectrum without
+    Jordan data, and ``xi0 == 0``, where s is identically zero, are
+    Inconclusive.
     """
+    if spec.analytic_refusal:
+        return DivergenceClassification(
+            kind="Inconclusive",
+            diagnostic=f"{spec.analytic_refusal} and carries no Jordan data: "
+                       f"{_METHOD_ADVICE} still samples it, Spectrum.from_jordan "
+                       "supplies the data",
+        )
+    if xi0 == 0:
+        return DivergenceClassification(
+            kind="Inconclusive",
+            diagnostic="xi0 = 0: the log-sensitivity xi0 * (de/dxi) / e is "
+                       "identically zero and does not diverge",
+        )
     lam = spec.eigenvalues
-    rad = 1.0 + float(np.max(np.abs(lam)))
-    tol_dom = 1e-8 * rad
-
+    tol_dom = 1e-8 * (1.0 + float(np.max(np.abs(lam))))
     dom_jordan = [b for b in spec.jordan_blocks if b[0] == 0 and b[1] > 1]
     if dom_jordan:
         size, sigma = int(dom_jordan[0][1]), float(max(0.0, -lam[0].real))
@@ -499,13 +514,6 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
                            "a complex Jordan pair (detection still applies)",
             )
         return DivergenceClassification(kind="PolynomialJordan", degree=size, sigma=sigma)
-    if spec.analytic_refusal:
-        return DivergenceClassification(
-            kind="Inconclusive",
-            diagnostic=f"{spec.analytic_refusal} "
-                       "and carries no Jordan data: --method blockaug|quadrature|fd "
-                       "still samples it, Spectrum.from_jordan supplies the data",
-        )
 
     zw = coup.z * coup.w
     absS = np.abs(coup.Sbar)
@@ -659,9 +667,10 @@ def detect_spikes(tr: SensitivityTrace) -> np.ndarray:
     adjacent intervals is one, at the mean of their times) and tangential
     local minima of |error| below ``SPIKE_DIP_FRAC`` of its local scale.  Each
     candidate is then required to tower over the nearby finite |logsens|
-    samples by ``SPIKE_PROMINENCE_DECADES`` (automatically satisfied where the
-    sample is spike-masked, including exponentially decayed tails where every
-    sample sits below the spike floor).  Returned times are interpolated:
+    samples by ``SPIKE_PROMINENCE_DECADES`` (automatically satisfied where
+    every nearby sample is spike-masked, including exponentially decayed
+    tails where every sample sits below the spike floor; never where the
+    finite ones are all exactly 0).  Returned times are interpolated:
     linearly at sign changes, parabolically at tangential minima.
     """
     if len(tr) < 3:
@@ -710,11 +719,13 @@ def detect_spikes(tr: SensitivityTrace) -> np.ndarray:
     for j, tstar in sorted(candidates, key=lambda c: c[1]):
         lo, hi = max(0, j - win), min(n, j + win + 1)
         nearby = logs[max(0, j - 2):j + 3]
-        nearby = nearby[np.isfinite(nearby) & (nearby > 0)]
+        nearby = nearby[np.isfinite(nearby)]
         if len(nearby) == 0:
             out.append(tstar)  # spike-masked neighborhood
             continue
         peak = float(np.max(nearby))
+        if peak == 0:
+            continue
         base = logs[lo:hi]
         base = base[np.isfinite(base) & (base > 0)]
         baseline = float(np.median(base)) if len(base) else 0.0

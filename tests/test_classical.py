@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from logsens.classical import (
     RLC_LAMBDA3_DEFAULT,
+    OpenLoopPlant,
     close_loop,
     place_poles,
     rlc_scenario,
@@ -55,6 +56,31 @@ class TestPlacePoles:
         b = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="Re"):
             place_poles(A, b, [1.0, -2.0])
+
+
+# A double integrator, controllable from b = e2.  Its velocity, read by
+# c = e2, is 0 at every closed-loop equilibrium: c A0^-1 b = 0.
+DOUBLE_INTEGRATOR = {"A1": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, 1.0], "c": [1.0, 0.0],
+                     "S": np.zeros((2, 2)), "xi0": 1.0}
+REFUSALS = {
+    "plant_dimensions": (lambda: OpenLoopPlant(**dict(DOUBLE_INTEGRATOR, b=[0.0, 1.0, 0.0])),
+                         "inconsistent plant dimensions"),
+    "plant_uncontrollable": (lambda: OpenLoopPlant(**dict(DOUBLE_INTEGRATOR, b=[1.0, 0.0])),
+                             r"\(A1 \+ S\*xi0, b\) is not controllable"),
+    "pole_count": (lambda: place_poles(DOUBLE_INTEGRATOR["A1"], DOUBLE_INTEGRATOR["b"], [-1.0]),
+                   "need exactly 2 poles, got 1"),
+    "unreachable_at_dc": (lambda: close_loop(OpenLoopPlant(**dict(DOUBLE_INTEGRATOR,
+                                                                  c=[0.0, 1.0])),
+                                             [-1.0, -2.0]),
+                          r"c @ A0\^\{-1\} @ b = 0: reference direction unreachable at DC"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestCloseLoop:

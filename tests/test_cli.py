@@ -68,15 +68,14 @@ class TestValidateConfig:
             "kind": "custom",
             "parameters": {
                 "A1": [[0, 1, 0], [0, 0, 1], [-1, -2, -3]],
-                "b": [0, 1],
-                "c": [1, 0, 0],
+                "c": [1, 0],
                 "S": [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
                 "v": [1, 0, 0],
             },
         }
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
-        assert exc.value.path == "parameters.b"
+        assert exc.value.path == "parameters.c"
 
     def test_rlc_pair_gets_default_third_pole(self):
         cfg = validate_config({
@@ -243,16 +242,18 @@ class TestRunScenario:
     def test_inconclusive_still_writes(self, tmp_path):
         # incommensurate dominant pairs: classification is Inconclusive
         w2 = float(np.sqrt(2.0))
+        A0 = np.array([[-0.5, 1.0, 0.0, 0.0], [-1.0, -0.5, 0.0, 0.0],
+                       [0.0, 0.0, -0.5, w2], [0.0, 0.0, -w2, -0.5]])
+        S = [[0.0, 1.0, 0.0, 0.3], [1.0, 0.0, 0.2, 0.0],
+             [0.0, 0.2, 0.0, 1.0], [0.3, 0.0, 1.0, 0.0]]
         raw = {
             "kind": "custom",
             "parameters": {
-                "A1": [[-0.5, 1.0, 0.0, 0.0], [-1.0, -0.5, 0.0, 0.0],
-                       [0.0, 0.0, -0.5, w2], [0.0, 0.0, -w2, -0.5]],
-                "S": [[0.0, 1.0, 0.0, 0.3], [1.0, 0.0, 0.2, 0.0],
-                      [0.0, 0.2, 0.0, 1.0], [0.3, 0.0, 1.0, 0.0]],
+                "A1": (A0 - S).tolist(),  # A0 = A1 + xi0 S
+                "S": S,
                 "c": [1.0, 0.2, 0.5, 0.1],
                 "v": [1.0, 0.5, 1.0, 0.2],
-                "xi0": 0.0,
+                "xi0": 1.0,
             },
             "grid": {"t_end": 20.0},
         }
@@ -662,7 +663,7 @@ class TestDefectiveBases:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert re.fullmatch(r"numerical failure: spectrum is near-defective \(cond_M = "
-                            r"\S+\); use --method blockaug\|quadrature\|fd, or "
+                            r"\S+\); use --method quadrature\|blockaug\|fd, or "
                             r"Spectrum\.from_jordan data\n", captured.err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
@@ -1390,8 +1391,7 @@ NUMBER_BASES = {
     "spin_chain": {"kind": "spin_chain", "parameters": {
         "N": 3, "lambda": 0.6, "perturbed_coupling": 1, "excitation_site": 1,
         "fit_window": [1.0, 5.0]}},
-    "custom": {"kind": "custom", "parameters": dict(CUSTOM, b=[0.0, 1.0],
-                                                    fit_window=[1.0, 5.0])},
+    "custom": {"kind": "custom", "parameters": dict(CUSTOM, fit_window=[1.0, 5.0])},
 }
 for _base in NUMBER_BASES.values():
     _base.update(schema_version=1, seed=0, grid={"t_start": 0.0, "t_end": 5.0, "dt": 0.5})
@@ -1417,7 +1417,7 @@ NUMBER_FIELDS = [(kind, field) for kind in NUMBER_BASES for field in SHARED_FIEL
                                 "parameters.perturbed_coupling", "parameters.excitation_site")
 ] + [
     ("custom", f) for f in ("parameters.A1[0][0]", "parameters.A1[1][0]",
-                            "parameters.S[1][1]", "parameters.b[1]", "parameters.c[0]",
+                            "parameters.S[1][1]", "parameters.c[0]",
                             "parameters.v[1]", "parameters.xi0")
 ]
 
@@ -1595,6 +1595,107 @@ class TestSubUlpSteps:
         rows = int((t_end - t_start) / dt) + 1
         if rows > 1 and (t_end - t_start) / (rows - 1) >= dt:
             assert np.all(np.diff(np.linspace(t_start, t_end, rows)) > 0)
+
+
+# Refusals of ``validate_config`` that no other test reaches: each config,
+# the path it is refused at, and the message.
+CONFIG_REFUSALS = {
+    "rows_not_lists": ({"kind": "custom", "parameters": dict(CUSTOM, A1=[1.0, 2.0])},
+                       "parameters.A1", "expected a list of rows"),
+    "row_count": ({"kind": "custom", "parameters": dict(CUSTOM, S=[[0.0, 0.0]])},
+                  "parameters.S", "expected 2 rows, got 1"),
+    "column_count": ({"kind": "custom", "parameters": dict(CUSTOM, S=[[0.0], [1.0]])},
+                     "parameters.S", "expected 2 columns, got 1"),
+    "not_a_list": ({"kind": "two_qubit", "parameters": {"alpha": 1.0}},
+                   "parameters.alpha", "expected a list of numbers"),
+    "window_not_increasing": ({"kind": "rlc", "parameters": {"fit_window": [5.0, 1.0]}},
+                              "parameters.fit_window", "window must be increasing"),
+    "perturbation": ({"kind": "two_qubit", "parameters": {"perturbation": "S5"}},
+                     "parameters.perturbation", "must be one of S1, S2, S3, S4"),
+    "one_site": ({"kind": "spin_chain", "parameters": {"N": 1}},
+                 "parameters.N", "chain needs at least 2 sites"),
+    "lambda_zero": ({"kind": "spin_chain", "parameters": {"lambda": 0.0}},
+                    "parameters.lambda", "must be positive"),
+    "coupling_range": ({"kind": "spin_chain", "parameters": {"N": 3, "perturbed_coupling": 3}},
+                       "parameters.perturbed_coupling", "must be in 1..2"),
+    "site_range": ({"kind": "spin_chain", "parameters": {"N": 3, "excitation_site": 4}},
+                   "parameters.excitation_site", "must be in 1..3"),
+    "A1_not_square": ({"kind": "custom", "parameters": dict(CUSTOM, A1=[[-1.0, 0.0]])},
+                      "parameters.A1", "must be square"),
+    "t_end_not_after_start": ({"kind": "rlc", "grid": {"t_start": 5.0, "t_end": 5.0}},
+                              "grid", "need t_end > t_start >= 0"),
+    "custom_b": ({"kind": "custom", "parameters": dict(CUSTOM, b=[0.0, 1.0])},
+                 "parameters.b", "unknown key"),
+}
+
+
+class TestConfigRefusals:
+    """Each refusal is exit 2 with one stderr line naming the path, and
+    nothing written."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+    def test_refused_by_path(self, case, tmp_path, capsys):
+        doc, path, message = CONFIG_REFUSALS[case]
+        cfg = self.write(tmp_path, doc)
+        for argv in (["run", cfg, "--out-dir", str(tmp_path / "out")], ["check", cfg]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {path}: {message}\n"
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = str(tmp_path / "absent.json")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {cfg}: cannot read config: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_grid_override_needs_three_fields(self, command, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "rlc"})
+        assert main([command, cfg, "--grid", "1:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --grid: expected start:end:step\n"
+        assert captured.out == ""
+
+
+# An undamped rotation whose error crosses zero every pi/3: with xi0 = 0,
+# or with S = 0, |s| is exactly 0 at every sample not masked.
+ZERO_LOGSENS = {
+    "xi0_zero": ({"S": [[0.0, 0.0], [0.1, 0.0]], "xi0": 0.0},
+                 "xi0 = 0: the log-sensitivity xi0 * (de/dxi) / e is identically "
+                 "zero and does not diverge"),
+    "S_zero": ({"S": [[0.0, 0.0], [0.0, 0.0]], "xi0": 1.0}, "all modes pruned"),
+}
+
+
+class TestZeroLogSensitivity:
+    """A log-sensitivity that is exactly zero neither diverges nor spikes."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("case", sorted(ZERO_LOGSENS))
+    def test_no_divergence_and_no_spikes(self, case, tmp_path, capsys):
+        params, diagnostic = ZERO_LOGSENS[case]
+        cfg = self.write(tmp_path, {"kind": "custom", "grid": {
+            "t_start": 0.0, "t_end": 10.0, "dt": 0.01}, "parameters": dict(
+                params, A1=[[0.0, 3.0], [-3.0, 0.0]], c=[1.2, 0.0], v=[0.0, 1.0])})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "classification: Inconclusive", f"diagnostic: {diagnostic}"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["empirical"]["detected_spikes"] == []
+        assert report["deviations"] == {}
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1001
+        assert {row.split(",")[5] for row in rows if row.endswith(",0")} == {"0.0"}
+        # the error still crosses zero: 9 candidates, none a spike
+        e = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.count_nonzero(np.sign(e[:-1]) * np.sign(e[1:]) < 0) == 9
 
 
 def test_run_loads_no_scipy(tmp_path):

@@ -409,6 +409,25 @@ class TestModalKernelReferences:
                                 reference_dderiv_jordan(spec, Sbar, t)) <= 1e-12
 
 
+# Inputs every oracle refuses, with the message.
+ORACLE_INPUT_REFUSALS = {
+    "A_S_shapes": (lambda f: f(-np.eye(2), np.zeros((3, 3)), 1.0),
+                   "A and S must have matching shapes"),
+    "negative_t": (lambda f: f(-np.eye(2), np.zeros((2, 2)), -1.0),
+                   "t must be nonnegative"),
+}
+
+
+class TestOracleInputRefusals:
+    @pytest.mark.parametrize("oracle", [dderiv_oracle_quadrature, dderiv_oracle_blockaug,
+                                        dderiv_oracle_fd])
+    @pytest.mark.parametrize("case", sorted(ORACLE_INPUT_REFUSALS))
+    def test_refused(self, oracle, case):
+        call, message = ORACLE_INPUT_REFUSALS[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(oracle)
+
+
 class TestFromJordanValidation:
     """``Spectrum.from_jordan`` refuses a block layout it cannot honour,
     naming the block, instead of failing later in ``trace``."""
@@ -424,6 +443,10 @@ class TestFromJordanValidation:
         n = len(eigenvalues)
         with pytest.raises(ValueError, match=message):
             Spectrum.from_jordan(eigenvalues, np.eye(n), blocks)
+
+    def test_M_shape_refused(self):
+        with pytest.raises(ValueError, match="^M shape inconsistent with eigenvalue count$"):
+            Spectrum.from_jordan([-1.0, -2.0], np.eye(3), [])
 
     def test_equal_within_cluster_tol(self):
         spec = Spectrum.from_jordan([-1.0, -1.0 + 1e-12, -2.0], np.eye(3),

@@ -28,6 +28,30 @@ def random_density(rng, n):
     return rho / np.trace(rho)
 
 
+# Inputs of the wrong dimension, and a chain site out of range, with the
+# message each is refused with.
+QUBIT = gellmann_basis(2)
+REFUSALS = {
+    "basis_dimension": (lambda: gellmann_basis(1), "basis dimension must be at least 2"),
+    "H_not_square": (lambda: bloch_coherent(np.zeros((2, 3)), QUBIT), "H must be square"),
+    "H_dimension": (lambda: bloch_coherent(np.eye(3), QUBIT),
+                    "H dimension does not match basis"),
+    "V_dimension": (lambda: bloch_dissipator(np.eye(3), QUBIT),
+                    "V dimension does not match basis"),
+    "rho_dimension": (lambda: bloch_state(np.eye(3) / 3, QUBIT),
+                      "rho dimension does not match basis"),
+    "excitation_site": (lambda: spin_chain_scenario(3, excitation_site=4),
+                        r"excitation_site must be in 1\.\.3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestGellmannBasis:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_orthonormal(self, N):

@@ -24,6 +24,7 @@ from logsens.matexp import (
 from logsens.quantum import spin_chain_scenario
 from logsens.sensan import (
     _BLOCK,
+    _METHOD_ADVICE,
     DERIVATIVE_METHODS,
     DivergenceClassification,
     ErrorSystem,
@@ -217,7 +218,7 @@ class TestTrace:
         spec = sys.spectrum()
         diag = classify(spec, couplings(spec, S, sys.c, sys.v), 0.0).diagnostic
         for msg in (str(exc.value), diag):
-            assert "--method blockaug|quadrature|fd" in msg
+            assert "--method quadrature|blockaug|fd" in msg
             assert msg.index("--method") < msg.index("from_jordan")
 
 
@@ -279,7 +280,7 @@ class TestModalEvaluator:
                           c=[1.0, 1.0], v=[1.0, 1.0], xi0=1.0)
         # the refusal names the trace's alternatives, not the matrix oracles
         with pytest.raises(ArithmeticError, match=r"imaginary residue.*\(use "
-                           r"--method blockaug\|quadrature\|fd\)$"):
+                           r"--method quadrature\|blockaug\|fd\)$"):
             trace(sys, np.linspace(0.0, 2.0, 5), spectrum=spec)
         with pytest.raises(ArithmeticError, match=r"\(use dderiv_oracle_blockaug "
                            r"or dderiv_oracle_quadrature\)$"):
@@ -476,7 +477,7 @@ def blocked_reference_modal(sys, spec, times):
         derror[lo:lo + _BLOCK] = X.real
         resid = max(resid, float(np.max(np.abs(X.imag))))
         absmax = max(absmax, float(np.max(np.abs(X))))
-    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative")
+    _refuse_imaginary(resid, absmax, 1e-9, "analytic derivative", _METHOD_ADVICE)
     return error, derror
 
 
@@ -1060,6 +1061,19 @@ class TestClassify:
         assert cls.t0 == pytest.approx((np.pi + cls.phi01) / (2 * cls.omega), rel=1e-12)
         assert cls.period == pytest.approx(np.pi / cls.omega, rel=1e-12)
 
+    def test_xi0_zero_is_inconclusive(self):
+        # s = xi0 * (de/dxi) / e is identically zero: nothing diverges
+        jordan = Spectrum.from_jordan([-0.3, -0.3, -2.0],
+                                      np.eye(3) + 0.1 * np.arange(9).reshape(3, 3),
+                                      [(0, 2)])
+        for spec, vecs in ((eig_decompose(SPRING_A0), ([1.0, 0.0], [1.0, 0.0])),
+                           (jordan, ([1.0, 0.0, 1.0], [0.0, 1.0, 1.0]))):
+            coup = couplings(spec, np.ones((spec.n, spec.n)), *vecs)
+            assert classify(spec, coup, 1.0).kind != "Inconclusive"
+            cls = classify(spec, coup, 0.0)
+            assert cls.kind == "Inconclusive"
+            assert cls.diagnostic.startswith("xi0 = 0: ")
+
     def test_jordan_dominant_polynomial(self):
         spec = Spectrum.from_jordan([-0.3, -0.3, -2.0],
                                     np.eye(3) + 0.1 * np.arange(9).reshape(3, 3),
@@ -1219,8 +1233,40 @@ class TestFitPolynomialDegree:
                               np.zeros(len(ts), bool))
         assert fit_polynomial_degree(tr, (5, 50)) == 0
 
+    def test_too_few_samples(self):
+        # zeros of |s| and t = 0 are not usable on log axes
+        ts = np.linspace(0, 50, 501)
+        tr = SensitivityTrace(ts, np.exp(-ts), ts, np.where(ts > 49.55, ts, 0.0),
+                              np.zeros(len(ts), bool))
+        with pytest.raises(ValueError, match=r"only 5 usable samples in window \(0, 50\)"):
+            fit_polynomial_degree(tr, (0, 50))
+
 
 class TestDetectSpikes:
+    @staticmethod
+    def crossing_trace(xi0, mask_frac):
+        """e = cos(3 t), crossing zero every pi/3, with s = xi0 * de / e
+        masked where |e| is below ``mask_frac``."""
+        ts = np.arange(0.0, 10.0, 0.01)
+        e, de = np.cos(3 * ts), 0.1 * ts * np.sin(3 * ts)
+        mask = np.abs(e) <= mask_frac
+        return SensitivityTrace(ts, e, de, np.where(mask, np.nan, xi0 * de / e), mask)
+
+    def test_zero_logsens_is_no_spike(self):
+        # xi0 = 0: every finite |s| is exactly 0, however the error crosses
+        for mask_frac in (0.0, 0.02):
+            tr = self.crossing_trace(0.0, mask_frac)
+            assert np.any(tr.spike_mask) == (mask_frac > 0)
+            assert len(detect_spikes(tr)) == 0
+
+    def test_masked_neighbourhood_is_a_spike(self):
+        # five masked samples around each crossing leave no finite neighbour
+        tr = self.crossing_trace(1.0, 0.1)
+        centre = np.flatnonzero(np.sign(tr.error[:-1]) * np.sign(tr.error[1:]) < 0)
+        assert all(np.all(tr.spike_mask[k - 2:k + 3]) for k in centre)
+        spikes = detect_spikes(tr)
+        np.testing.assert_allclose(spikes, np.pi / 6 + np.pi / 3 * np.arange(10), atol=1e-4)
+
     def test_monotone_trace_empty(self):
         ts = np.linspace(0, 10, 1001)
         tr = SensitivityTrace(ts, np.exp(-ts), -ts * np.exp(-ts), 2.0 * ts,
