@@ -58,7 +58,6 @@ from .sensan import (
     detect_spikes,
     fit_polynomial_degree,
     fit_slope,
-    log_sensitivity,
     spike_schedule,
     trace,
 )
@@ -304,6 +303,20 @@ def _validate_parameters(kind, raw):
 
 def validate_config(raw) -> ScenarioConfig:
     """Validate a raw JSON document, filling and echoing all defaults."""
+    cfg = _read_config(raw)
+    t_start, t_end, dt = cfg.grid
+    if dt <= 0:
+        raise ConfigError("grid.dt", "must be positive")
+    rows = (t_end - t_start) / dt + 1
+    if not rows <= MAX_GRID_ROWS:  # also refuses inf and nan
+        raise ConfigError("grid", f"{rows:.3g} rows exceed the row budget "
+                                  f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}")
+    _refuse_merging_step("grid.dt", dt, t_start, t_end)
+    return cfg
+
+
+def _read_config(raw) -> ScenarioConfig:
+    """``validate_config`` short of the grid step, which ``check`` never reads."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
     _reject_unknown(raw, {"schema_version", "kind", "parameters", "grid",
@@ -322,15 +335,8 @@ def validate_config(raw) -> ScenarioConfig:
     t_start = float(_number(g.get("t_start"), "grid.t_start", gd[0]))
     t_end = float(_number(g.get("t_end"), "grid.t_end", gd[1]))
     dt = float(_number(g.get("dt"), "grid.dt", gd[2]))
-    if dt <= 0:
-        raise ConfigError("grid.dt", "must be positive")
     if t_start < 0 or t_end <= t_start:
         raise ConfigError("grid", "need t_end > t_start >= 0")
-    rows = (t_end - t_start) / dt + 1
-    if not rows <= MAX_GRID_ROWS:  # also refuses inf and nan
-        raise ConfigError("grid", f"{rows:.3g} rows exceed the row budget "
-                                  f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}")
-    _refuse_merging_step("grid.dt", dt, t_start, t_end)
     method = _want(raw.get("method"), "method", str, "analytic")
     if method not in DERIVATIVE_METHODS:
         raise ConfigError("method", f"must be one of {DERIVATIVE_METHODS}")
@@ -567,14 +573,23 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 # -- analysis ------------------------------------------------------------------
 
+# Smallest scale of a path comparison: below it a deviation is an absolute one.
+_SCALE_FLOOR = 1e-12
+
+
+def _largest(vals: dict) -> float:
+    """The largest |de/dxi| any path (``{method: values at the sample
+    times}``) returns at any of the times."""
+    return max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values())
+
+
 def _path_deviations(vals: dict) -> dict:
     """Each pair's largest |de/dxi| difference of the paths (``{method:
-    values at the sample times}``), over the largest |de/dxi| any path
-    returns at any of the times (a per-time scale blows up where de/dxi
-    nears zero, 1e-13 on undamped chains)."""
+    values at the sample times}``), over their ``_largest`` value, floored
+    at ``_SCALE_FLOOR`` (a per-time scale blows up where de/dxi nears zero,
+    1e-13 on undamped chains)."""
     methods = list(vals)
-    scale = max(max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values()),
-                1e-12)
+    scale = max(_largest(vals), _SCALE_FLOOR)
     return {f"{a}_vs_{b}": float(np.max(np.abs(vals[a] - vals[b]) / scale, initial=0.0))
             for i, a in enumerate(methods) for b in methods[i + 1:]}
 
@@ -596,14 +611,17 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
     ``methods`` by one ``trace`` each over the sorted times ``ts``, each
     refused unless finite (``_finite``).  Returns the paths compared
     (``methods``), each pair's ``_path_deviations`` (``pairs``), their
-    largest (``max_rel_deviation``), and any path left out and why
-    (``skipped``: the spectrum's ``analytic_refusal``)."""
+    largest (``max_rel_deviation``), any path left out and why (``skipped``:
+    the spectrum's ``analytic_refusal``), and ``scale_floored: true`` where
+    every value is below ``_SCALE_FLOOR``, so the deviations are absolute."""
     why = sys_.spectrum().analytic_refusal
     out = {"skipped": {"analytic": why}} if why else {}
     used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
-    pairs = _path_deviations({
-        m: _finite(trace(sys_, ts, method=m), f"oracle check: {m} trace").derror
-        for m in used})
+    vals = {m: _finite(trace(sys_, ts, method=m), f"oracle check: {m} trace").derror
+            for m in used}
+    pairs = _path_deviations(vals)
+    if _largest(vals) < _SCALE_FLOOR:
+        out["scale_floored"] = True
     for pair, dev in pairs.items():
         if not math.isfinite(dev):
             raise ArithmeticError(f"oracle check: {pair} deviation is {dev!r}")
@@ -643,14 +661,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
             if cls.slope:
                 deviations["slope_rel_dev"] = (
                     abs(abs(fitted) - abs(cls.slope)) / abs(cls.slope))
-        except ValueError:
-            pass
+        except ValueError as e:
+            empirical["fit_error"] = str(e)
     if cls.kind == "PolynomialJordan":
         try:
             empirical["fitted_degree"] = fit_polynomial_degree(tr, window)
             deviations["degree_delta"] = empirical["fitted_degree"] - cls.degree
-        except ValueError:
-            pass
+        except ValueError as e:
+            empirical["fit_error"] = str(e)
     if cls.kind == "PeriodicComplex" and len(spikes) > 0:
         sched = spike_schedule(cls, max(len(spikes) + 2, 8))
         deltas = [s - sched[int(np.argmin(np.abs(sched - s)))] for s in spikes
@@ -720,9 +738,7 @@ def table1_repro(chain: str, fidelity_targets=None) -> list:
     solve = []
     for row in rows:
         if row["fidelity"] == 1.0:
-            t_star = T - TABLE1_ARTIFACT_DT
-            row.update(abs_logsens=abs(log_sensitivity(sys_, t_star)), t=t_star,
-                       flag="grid_artifact")
+            row.update(t=T - TABLE1_ARTIFACT_DT, flag="grid_artifact")
         elif 0.0 < row["fidelity"] < 1.0:
             solve.append(row)
     target = np.array([row["fidelity"] for row in solve])
@@ -737,7 +753,11 @@ def table1_repro(chain: str, fidelity_targets=None) -> list:
         hi[live[~below]] = mid[~below]
         live = live[hi[live] - lo[live] > 1e-12]
     for row, t_star in zip(solve, (0.5 * (lo + hi)).tolist()):
-        row.update(abs_logsens=abs(log_sensitivity(sys_, t_star)), t=t_star, flag="")
+        row.update(t=t_star, flag="")
+    for row in rows:  # |log_sensitivity|: a one-sample trace's xi0 * de / e
+        if row["t"] is not None:
+            (e,), (de,) = _modal(sys_, spec, np.array([row["t"]]))
+            row["abs_logsens"] = abs(float(sys_.xi0 * de / e))
     return rows
 
 
@@ -751,7 +771,7 @@ def write_table1_csv(path, rows):
 
 # -- entry point ---------------------------------------------------------------
 
-def _load_config(path, grid_override=None, method_override=None):
+def _load_config(path, grid_override=None, method_override=None, read=validate_config):
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -769,7 +789,7 @@ def _load_config(path, grid_override=None, method_override=None):
         raw["grid"] = {"t_start": start, "t_end": end, "dt": step}
     if method_override:
         raw["method"] = method_override
-    return validate_config(raw)
+    return read(raw)
 
 
 def _default_out_dir(explicit):
@@ -821,7 +841,7 @@ def main(argv=None) -> int:
             if not 1 <= args.samples <= MAX_GRID_ROWS:
                 raise ConfigError("--samples", f"need 1 to the row budget "
                                   f"MAX_GRID_ROWS = {MAX_GRID_ROWS:.0e}, got {args.samples}")
-            cfg = _load_config(args.config, args.grid)
+            cfg = _load_config(args.config, args.grid, read=_read_config)
             t0, t1, _ = cfg.grid
             if args.samples > 1:
                 _refuse_merging_step("--samples", (t1 - t0) / (args.samples - 1), t0, t1)

@@ -384,8 +384,8 @@ def _stepped(step, x0, R, times):
             if b not in ops:
                 ops[b] = step(uniq[b])
             P = ops[k] = ops[b] if b == k else step(uniq[k] - uniq[b]) @ ops[b]
-        x = P @ x
-        out[i] = R @ x
+        x = P.dot(x)  # ndarray.dot: the dgemv of ``@`` at half its dispatch cost
+        R.dot(x, out=out[i])
         for j in drop[i]:
             del ops[j]
     return out.T

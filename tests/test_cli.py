@@ -926,6 +926,22 @@ class TestTable1:
         assert vals == sorted(vals)
 
 
+class TestTable1Rows:
+    @pytest.mark.parametrize("chain", ["n2", "n3"])
+    def test_rows_equal_log_sensitivity(self, chain):
+        # each row's |s| carries the bits of log_sensitivity at its t
+        from logsens.cli import _chain_for_table
+        from logsens.sensan import log_sensitivity
+        sys_ = _chain_for_table(chain)
+        targets = (*TABLE1_DEFAULT_TARGETS[chain], *benchmark_targets(1, chain))
+        rows = table1_repro(chain, targets)
+        assert sum(row["t"] is not None for row in rows) == len(targets)
+        for row in rows:
+            want = abs(log_sensitivity(sys_, row["t"]))
+            assert type(row["abs_logsens"]) is float
+            assert repr(row["abs_logsens"]) == repr(want), row
+
+
 def reference_table1(chain, targets):
     """The per-target scalar bisection that the batched one replaced."""
     from logsens.cli import TABLE1_ARTIFACT_DT, _chain_for_table
@@ -1281,10 +1297,9 @@ class TestGridBudget:
         monkeypatch.setattr(cli, "MAX_GRID_ROWS", 100)
         cfg = self.write(tmp_path, {"kind": "spring_mass",
                                     "grid": {"t_end": 1.0, "dt": 0.01}})
-        for argv in (["run", cfg, "--out-dir", str(tmp_path)], ["check", cfg]):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error: grid: ") and "MAX_GRID_ROWS = 1e+02" in err
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: ") and "MAX_GRID_ROWS = 1e+02" in err
         assert not (tmp_path / "trace.csv").exists()
         cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 5.0}})
         assert main(["run", cfg, "--grid", "0:1:0.001"]) == 2
@@ -1302,6 +1317,23 @@ class TestGridBudget:
         assert capsys.readouterr().err.startswith(
             f"config error: grid.{bad[0]}: must be a finite number" if bad
             else "config error: grid: ")
+
+    @pytest.mark.parametrize("step", ["1e-9", "7"])
+    def test_check_ignores_the_step(self, tmp_path, capsys, step):
+        # check samples --samples times in [START, END] and never reads STEP
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["check", cfg, "--grid", "0:50:0.01"]) == 0
+        want = capsys.readouterr().out
+        assert main(["check", cfg, "--grid", f"0:50:{step}"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_step_over_budget_refused_by_run_only(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"dt": 1e-9}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: grid: 5e+10 rows exceed the row budget MAX_GRID_ROWS = 1e+07\n")
+        assert not (tmp_path / "trace.csv").exists()
+        assert main(["check", cfg]) == 0
 
     def test_check_samples_over_budget_is_2(self, tmp_path, monkeypatch, capsys):
         import logsens.cli as cli
@@ -1696,6 +1728,50 @@ class TestZeroLogSensitivity:
         # the error still crosses zero: 9 candidates, none a spike
         e = np.array([float(row.split(",")[1]) for row in rows])
         assert np.count_nonzero(np.sign(e[:-1]) * np.sign(e[1:]) < 0) == 9
+
+
+class TestReportReasons:
+    """A missing fit says why; a comparison on a floored scale says so."""
+
+    write = TestMainExitCodes.write
+
+    def test_fit_error_names_the_reason(self, tmp_path):
+        cfg = self.write(tmp_path, {"kind": "spring_mass",
+                                    "parameters": {"fit_window": [100, 200]}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        empirical = json.loads((tmp_path / "report.json").read_text())["empirical"]
+        assert empirical["fitted_slope"] is None
+        assert empirical["fit_error"] == "only 0 finite samples in window (100.0, 200.0)"
+
+    def test_no_fit_error_on_a_fit(self, tmp_path):
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["empirical"]["fitted_slope"] is not None
+        assert "fit_error" not in report["empirical"]
+        assert "scale_floored" not in report["oracle_check"]
+
+    def test_floored_check_flagged(self, tmp_path, capsys):
+        # |de/dxi| is 0 at t = 0 and below 1e-44 at the other 19 samples,
+        # 52.6 apart: the deviations are absolute ones
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["check", cfg, "--grid", "0:1000:0.001"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["scale_floored"] is True and out["max_rel_deviation"] < 1e-30
+
+    def test_unfloored_check_not_flagged(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["check", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "scale_floored" not in out and out["max_rel_deviation"] > 0
+
+    def test_floored_spot_check_flagged(self, tmp_path):
+        # five draws from [100, 150], where |de/dxi| ~ e^(-2t) < 1e-86
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {
+            "t_start": 100.0, "t_end": 150.0, "dt": 0.5}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        spot = json.loads((tmp_path / "report.json").read_text())["oracle_check"]
+        assert spot["scale_floored"] is True
 
 
 def test_run_loads_no_scipy(tmp_path):

@@ -769,6 +769,31 @@ def sampled_rows(times, k=12, seed=0):
     return np.unique(np.r_[0, len(times) - 1, rng.integers(0, len(times), k)])
 
 
+def matmul_stepped(step, x0, R, times):
+    """``sensan._stepped`` with ``@`` for its per-sample products: the
+    reference its ``ndarray.dot`` products must match bit for bit."""
+    from logsens.sensan import _step_groups
+    uniq, keys, base = _step_groups(times)
+    last, drop = {}, [()] * len(keys)
+    for i, k in enumerate(keys):
+        last[k] = last[base[k]] = i
+    for k, i in last.items():
+        drop[i] += (k,)
+    out, ops, x = np.empty((len(times), len(R))), {}, x0
+    for i, k in enumerate(keys):
+        P = ops.get(k)
+        if P is None:
+            b = base[k]
+            if b not in ops:
+                ops[b] = step(uniq[b])
+            P = ops[k] = ops[b] if b == k else step(uniq[k] - uniq[b]) @ ops[b]
+        x = P @ x
+        out[i] = R @ x
+        for j in drop[i]:
+            del ops[j]
+    return out.T
+
+
 class TestOracleTraces:
     """Stepped oracle traces against per-time expm and oracle calls.
 
@@ -908,7 +933,7 @@ class TestOracleTraces:
             def __len__(self):
                 return 1
 
-            def __matmul__(self, x):
+            def dot(self, x, out=None):
                 (base,) = [r for d, r in refs.items() if 0.05 < d < 0.5]
                 self.alive.append(base() is not None)
                 return x[:1]
@@ -918,6 +943,31 @@ class TestOracleTraces:
         probe = Probe()
         sensan._stepped(step, np.ones(2), probe, times)
         assert probe.alive == [True] * 30 + [False] * 5
+
+    # a 0.01-step grid spells its step several ways; an integer step is exact
+    STEPPED_GRIDS = {
+        "dt_0.01": 0.01 * np.arange(1001),
+        "random": np.unique(np.random.default_rng(5).uniform(0.0, 50.0, 5)),
+        "integer_step": np.arange(0.0, 201.0),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(STEPPED_GRIDS))
+    @pytest.mark.parametrize("method", ["blockaug", "fd", "quadrature"])
+    @pytest.mark.parametrize("kind", ["rlc", "spin_chain"])
+    def test_stepped_equals_matmul_loop(self, monkeypatch, kind, method, grid):
+        # ``ndarray.dot`` and ``@`` run the same dgemv: the oracle traces
+        # keep every bit of the ``@`` loop they replaced.  On spin_chain a
+        # readout of all states by one ``X @ R.T`` moves the last bits
+        import logsens.sensan as sensan
+        sys, _ = cli_system(kind)
+        times = self.STEPPED_GRIDS[grid]
+        uniq, _, base = sensan._step_groups(times)
+        assert (len(uniq) > len(set(base))) == (grid == "dt_0.01")  # spellings
+        got = trace(sys, times, method=method)
+        monkeypatch.setattr(sensan, "_stepped", matmul_stepped)
+        want = trace(sys, times, method=method)
+        assert got.error.tobytes() == want.error.tobytes()
+        assert got.derror.tobytes() == want.derror.tobytes()
 
     def test_one_quadrature_warning_per_trace(self, monkeypatch):
         import functools
