@@ -124,9 +124,8 @@ def place_poles(A, b, poles) -> np.ndarray:
     target = np.sort_complex(poles)
     scale = 1.0 + np.max(np.abs(target))
     if np.max(np.abs(achieved - target)) > POLE_MATCH_TOL * scale:
-        raise ValueError(
-            f"pole placement failed: requested {target}, achieved {achieved}"
-        )
+        with np.printoptions(linewidth=10 ** 9):  # a one-line message
+            raise ValueError(f"pole placement failed: requested {target}, achieved {achieved}")
     return k
 
 

@@ -9,7 +9,7 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure (a trace with a non-finite e or de/dxi included), out of memory, a CSV
+failure (a non-finite trace value or any overflow included), out of memory, a CSV
 worker process that died or an output that cannot be written (each with
 one line on stderr), 2 config error (so are a usage error, a non-finite
 number or a bool where a number belongs, a config a scenario builder
@@ -42,7 +42,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import BrokenExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -100,6 +100,11 @@ TABLE1_DEFAULT_TARGETS = {
     "n3": (1.0, 0.9999, 0.99899, 0.98996, 0.90008),
 }
 
+# A config's grid fields, in the order ``ScenarioConfig.grid`` holds them
+# and the config reads them, and its output names with their defaults.
+_GRID_KEYS = ("t_start", "t_end", "dt")
+_OUTPUT_DEFAULTS = {"trace_csv": "trace.csv", "report_json": "report.json"}
+
 
 class ConfigError(Exception):
     """Invalid configuration; ``path`` locates the offending field."""
@@ -113,7 +118,7 @@ class ConfigError(Exception):
 class ScenarioConfig:
     kind: str
     parameters: dict
-    grid: tuple  # (t_start, t_end, dt)
+    grid: tuple  # in _GRID_KEYS order
     method: str
     outputs: dict
     seed: int
@@ -125,16 +130,7 @@ class ScenarioConfig:
         return t0 + dt * np.arange(n + 1)
 
     def echo(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "parameters": self.parameters,
-            "grid": {"t_start": self.grid[0], "t_end": self.grid[1],
-                     "dt": self.grid[2]},
-            "method": self.method,
-            "outputs": self.outputs,
-            "seed": self.seed,
-        }
+        return dict(asdict(self), grid=dict(zip(_GRID_KEYS, self.grid)))
 
 
 # -- config validation --------------------------------------------------------
@@ -319,8 +315,7 @@ def _read_config(raw) -> ScenarioConfig:
     """``validate_config`` short of the grid step, which ``check`` never reads."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
-    _reject_unknown(raw, {"schema_version", "kind", "parameters", "grid",
-                          "method", "outputs", "seed"}, "")
+    _reject_unknown(raw, {f.name for f in fields(ScenarioConfig)}, "")
     ver = _number(raw.get("schema_version"), "schema_version", SCHEMA_VERSION, int)
     if ver != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {ver}")
@@ -330,24 +325,19 @@ def _read_config(raw) -> ScenarioConfig:
     params = _validate_parameters(kind, _want(raw.get("parameters"),
                                               "parameters", dict, {}))
     g = _want(raw.get("grid"), "grid", dict, {})
-    _reject_unknown(g, {"t_start", "t_end", "dt"}, "grid")
-    gd = _KIND_DEFAULTS[kind][0]
-    t_start = float(_number(g.get("t_start"), "grid.t_start", gd[0]))
-    t_end = float(_number(g.get("t_end"), "grid.t_end", gd[1]))
-    dt = float(_number(g.get("dt"), "grid.dt", gd[2]))
+    _reject_unknown(g, _GRID_KEYS, "grid")
+    grid = tuple(float(_number(g.get(key), f"grid.{key}", default))
+                 for key, default in zip(_GRID_KEYS, _KIND_DEFAULTS[kind][0]))
+    t_start, t_end, _ = grid
     if t_start < 0 or t_end <= t_start:
         raise ConfigError("grid", "need t_end > t_start >= 0")
     method = _want(raw.get("method"), "method", str, "analytic")
     if method not in DERIVATIVE_METHODS:
         raise ConfigError("method", f"must be one of {DERIVATIVE_METHODS}")
     outputs = _want(raw.get("outputs"), "outputs", dict, {})
-    _reject_unknown(outputs, {"trace_csv", "report_json"}, "outputs")
-    outputs = {
-        "trace_csv": _want(outputs.get("trace_csv"), "outputs.trace_csv", str,
-                           "trace.csv"),
-        "report_json": _want(outputs.get("report_json"), "outputs.report_json",
-                             str, "report.json"),
-    }
+    _reject_unknown(outputs, _OUTPUT_DEFAULTS, "outputs")
+    outputs = {key: _want(outputs.get(key), f"outputs.{key}", str, default)
+               for key, default in _OUTPUT_DEFAULTS.items()}
     for key, name in outputs.items():
         if os.path.basename(name) in ("", ".", ".."):
             raise ConfigError(f"outputs.{key}", f"{name!r} does not name a file")
@@ -357,8 +347,7 @@ def _read_config(raw) -> ScenarioConfig:
     seed = _number(raw.get("seed"), "seed", 0, int)
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
-    return ScenarioConfig(kind=kind, parameters=params,
-                          grid=(t_start, t_end, dt), method=method,
+    return ScenarioConfig(kind=kind, parameters=params, grid=grid, method=method,
                           outputs=outputs, seed=seed)
 
 
@@ -391,9 +380,10 @@ def build_system(cfg: ScenarioConfig):
         if cfg.kind in _LOOPS:
             poles = [_pole_value(x, f"parameters.poles[{i}]")
                      for i, x in enumerate(p["poles"])]
-            if cfg.kind == "rlc" and any(abs(z.imag) > 0 for z in poles):
-                notes["rlc_lambda3"] = sorted(z.real for z in poles)[0]
             loop, sys = close_loop(_LOOPS[cfg.kind][0](p["xi0"]), poles)
+            if cfg.kind == "rlc" and any(abs(z.imag) > 0 for z in poles):
+                # the real pole beside the complex pair
+                notes["rlc_lambda3"] = min(poles, key=lambda z: abs(z.imag)).real
             return sys, loop.beta, notes
         if cfg.kind == "two_qubit":
             rho0 = None if p["rho0"] == "ground" else np.asarray(p["rho0"], dtype=complex)
@@ -650,7 +640,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     cls = classify(spec, coup, sys_.xi0)
 
     window = tuple(cfg.parameters["fit_window"])
-    spikes = detect_spikes(tr)
+    # s = xi0 (de/dxi) / e is identically zero: no spikes, masked rows or not
+    spikes = detect_spikes(tr) if sys_.xi0 and np.any(tr.derror) else np.array([])
     empirical = {"fitted_slope": None, "detected_spikes": spikes,
                  "fitted_degree": None}
     deviations = {}
@@ -712,8 +703,8 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
 
 def _chain_for_table(chain: str):
     """The N = 2 or 3 chain of ``chain``, its last coupling perturbed."""
-    if chain not in ("n2", "n3"):
-        raise ValueError("chain must be 'n2' or 'n3'")
+    if chain not in TABLE1_DEFAULT_TARGETS:
+        raise ValueError(f"chain must be {' or '.join(map(repr, TABLE1_DEFAULT_TARGETS))}")
     N = int(chain[1])
     return spin_chain_scenario(N, perturbed_coupling=N - 1)[1]
 
@@ -783,10 +774,10 @@ def _load_config(path, grid_override=None, method_override=None, read=validate_c
         raise ConfigError(path, "config must be a JSON object")
     if grid_override:
         try:
-            start, end, step = (float(x) for x in grid_override.split(":"))
+            raw["grid"] = dict(zip(_GRID_KEYS, map(float, grid_override.split(":")),
+                                   strict=True))
         except ValueError:
             raise ConfigError("--grid", "expected start:end:step")
-        raw["grid"] = {"t_start": start, "t_end": end, "dt": step}
     if method_override:
         raw["method"] = method_override
     return read(raw)
@@ -803,6 +794,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(self.prog, message)
 
 
+@np.errstate(over="raise", invalid="raise")  # one FloatingPointError, not warnings
 def main(argv=None) -> int:
     parser = _Parser(
         prog="logsens",
@@ -821,7 +813,7 @@ def main(argv=None) -> int:
     p_check.add_argument("--grid", default=None, metavar="START:END:STEP")
 
     p_tab = sub.add_parser("table1", help="chain fidelity/log-sensitivity table")
-    p_tab.add_argument("--chain", required=True, choices=("n2", "n3"))
+    p_tab.add_argument("--chain", required=True, choices=tuple(TABLE1_DEFAULT_TARGETS))
     p_tab.add_argument("--targets", type=float, nargs="*", default=None)
     p_tab.add_argument("--out-dir", default=None)
 
@@ -834,8 +826,7 @@ def main(argv=None) -> int:
             print(f"classification: {kind}")
             if kind == "Inconclusive":
                 print(f"diagnostic: {report['classification']['diagnostic']}")
-            print(f"outputs: {cfg.outputs['trace_csv']}, "
-                  f"{cfg.outputs['report_json']}")
+            print(f"outputs: {', '.join(cfg.outputs.values())}")
             return 0
         if args.command == "check":
             if not 1 <= args.samples <= MAX_GRID_ROWS:

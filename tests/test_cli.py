@@ -134,26 +134,34 @@ class TestValidateConfig:
     CUSTOM = {"A1": [[-1.0]], "S": [[1.0]], "c": [1.0], "v": [1.0]}
     GRID = {"t_start": 0.0, "t_end": 50.0, "dt": 0.01}
 
-    @pytest.mark.parametrize("raw, parameters, grid", [
+    # the config hashes are the ones every report so far has carried
+    @pytest.mark.parametrize("raw, parameters, grid, config_hash", [
         ({"kind": "spring_mass"},
-         {"xi0": 4.0, "poles": [-2.0, -5.0], "fit_window": [10.0, 50.0]}, GRID),
+         {"xi0": 4.0, "poles": [-2.0, -5.0], "fit_window": [10.0, 50.0]}, GRID,
+         "c59a2df2e1a6f8baa5e32f0ec3c8e66cfee85cad2857cd8d8175f46b1df1e4fe"),
         ({"kind": "rlc"},
-         {"xi0": 0.5, "poles": [-1.0, -2.0, -4.0], "fit_window": [10.0, 50.0]}, GRID),
+         {"xi0": 0.5, "poles": [-1.0, -2.0, -4.0], "fit_window": [10.0, 50.0]}, GRID,
+         "5a9461f8d61b84319c7b85f00a429789200a461d924f3edb207f563686aa5277"),
         ({"kind": "rlc", "parameters": {"poles": [-1, [-2.0, 0.5]]}},
          {"xi0": 0.5, "poles": [-1.0, [-2.0, 0.5], -5.3], "fit_window": [10.0, 50.0]},
-         GRID),
+         GRID, "02b0cefd3122ce4dc605514613178912fb613ac830eea5eb4755a2fa32959503"),
         ({"kind": "two_qubit"},
          {"perturbation": "S1", "alpha": [1.0, 1.0], "Delta": [-0.1, 0.1],
           "gamma": [1.0, 1.0], "rho0": "ground", "fit_window": [500.0, 2000.0]},
-         {"t_start": 0.0, "t_end": 2000.0, "dt": 1.0}),
+         {"t_start": 0.0, "t_end": 2000.0, "dt": 1.0},
+         "c97360ef34ad062e676474ef3cfcc53c7ab308c7ccd021998ccfa60e4cfa7dbe"),
         ({"kind": "spin_chain"},
-         {"N": 2, "lambda": math.pi / 5, "perturbed_coupling": 1,
-          "excitation_site": 1, "fit_window": [10.0, 50.0]}, GRID),
-        ({"kind": "custom", "parameters": CUSTOM},
-         {**CUSTOM, "xi0": 1.0, "fit_window": [10.0, 50.0]}, GRID),
+         {"N": 2, "lambda": 0.6283185307179586, "perturbed_coupling": 1,
+          "excitation_site": 1, "fit_window": [10.0, 50.0]}, GRID,
+         "f5d3aded056d7125a6c7bf6420ea92eb981afefd20dd3985c6b27634f9d997a8"),
+        ({"kind": "custom", "parameters": {"A1": [[-1]], "S": [[1]], "c": [1], "v": [1]}},
+         {"A1": [[-1.0]], "S": [[1.0]], "c": [1.0], "v": [1.0], "xi0": 1.0,
+          "fit_window": [10.0, 50.0]}, GRID,
+         "0e14f7822ed23cb5dd075ec026f65d7d88d5f10ee9c8df07ce993bb332439937"),
     ], ids=["spring_mass", "rlc", "rlc_pair", "two_qubit", "spin_chain", "custom"])
-    def test_echoed_defaults(self, raw, parameters, grid):
-        echoed = validate_config(raw).echo()
+    def test_echoed_defaults(self, raw, parameters, grid, config_hash):
+        cfg = validate_config(raw)
+        echoed = cfg.echo()
         assert echoed == {"schema_version": 1, "kind": raw["kind"],
                           "parameters": parameters, "grid": grid,
                           "method": "analytic",
@@ -162,6 +170,7 @@ class TestValidateConfig:
                           "seed": 0}
         # floats stay floats: 4 and 4.0 give different config hashes
         assert json.dumps(echoed["parameters"]) == json.dumps(parameters)
+        assert cli._config_hash(cfg) == config_hash
 
 
 class TestRunScenario:
@@ -1223,6 +1232,13 @@ class TestMainExitCodes:
         rows = (tmp_path / "trace.csv").read_text().strip().split("\n")
         assert len(rows) == 52  # header + 51 samples
 
+    def test_grid_override_echoed(self, tmp_path):
+        cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 9.0}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path), "--grid", "0:5:0.5"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["provenance"]["config"]["grid"] == {
+            "t_start": 0.0, "t_end": 5.0, "dt": 0.5}
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOGSENS_OUT_DIR", str(tmp_path / "envout"))
         cfg = self.write(tmp_path, {"kind": "spring_mass",
@@ -1265,8 +1281,11 @@ class TestMainExitCodes:
         (["run"], "logsens run: the following arguments are required: config"),
         (["check", "cfg.json", "--samples", "x"],
          "logsens check: argument --samples: invalid int value: 'x'"),
+        (["table1", "--chain", "n4"],
+         "logsens table1: argument --chain: invalid choice: 'n4' "
+         "(choose from 'n2', 'n3')"),
     ], ids=["negative_target", "unknown_command", "run_without_config",
-            "samples_not_int"])
+            "samples_not_int", "unknown_chain"])
     def test_usage_error_is_one_line(self, argv, err, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -1277,6 +1296,71 @@ class TestMainExitCodes:
             main(["run", "-h"])
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: logsens run")
+
+
+class TestOneLineFailures:
+    """Failures the config fuzzer (``test_fuzz.py``) found printing more than
+    one stderr line: each is now one line, with nothing written."""
+
+    write = TestMainExitCodes.write
+
+    def run_and_check(self, tmp_path, capsys, doc, rc, check_rc):
+        cfg = self.write(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+        assert main(["check", cfg, "--samples", "3"]) == check_rc
+        return captured.err, capsys.readouterr()
+
+    def test_pole_placement_message(self, tmp_path, capsys):
+        # a triple pole misses the placement tolerance; numpy wraps the
+        # arrays of the message unless told not to
+        err, check = self.run_and_check(tmp_path, capsys, {
+            "kind": "rlc", "parameters": {"poles": [-1, -1, -1]},
+            "grid": {"t_end": 1.0}}, 2, 2)
+        assert err.startswith("config error: parameters: pole placement failed: "
+                              "requested [-1.+0.j -1.+0.j -1.+0.j], achieved [")
+        assert check.err == err
+
+    def test_overflow_building_the_scenario(self, tmp_path, capsys):
+        err, check = self.run_and_check(tmp_path, capsys, {
+            "kind": "two_qubit", "parameters": {"Delta": [0.0, 0.0],
+                                                "gamma": [1e300, 1.0]},
+            "grid": {"t_end": 1.0}}, 1, 1)
+        assert err == "numerical failure: overflow encountered in matmul\n"
+        assert check.err == err
+
+    def test_non_finite_inverse_eigenbasis(self, tmp_path, capsys):
+        # inv returns inf and NaN for this eigenbasis without raising; the
+        # spot check and check compare the oracles alone
+        err, check = self.run_and_check(tmp_path, capsys, {
+            "kind": "custom", "parameters": {
+                "A1": [[-1.0, 1e300], [0.0, -1.0]], "S": [[0.0, 0.0], [0.0, 0.0]],
+                "c": [0.0, 0.0], "v": [0.0, 0.0], "xi0": 0.0},
+            "grid": {"t_end": 1.0}, "method": "quadrature"}, 1, 0)
+        assert err == "numerical failure: invalid value encountered in matmul\n"
+        assert check.err == ""
+        assert "cond_M = inf" in json.loads(check.out)["skipped"]["analytic"]
+
+
+class TestRlcNote:
+    """A report of an rlc loop with a complex pole pair notes its real pole."""
+
+    write = TestMainExitCodes.write
+
+    @pytest.mark.parametrize("poles, note", [
+        ([[-2, 0.3], [-2, -0.3], -1], {"rlc_lambda3": -1.0}),
+        ([[-2, 0.3], [-2, -0.3]], {"rlc_lambda3": -5.3}),
+        ([-1, -2, -4], {}),
+    ], ids=["given", "default", "all_real"])
+    def test_real_pole_noted(self, poles, note, tmp_path):
+        cfg = self.write(tmp_path, {"kind": "rlc", "parameters": {"poles": poles},
+                                    "grid": {"t_end": 5}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["provenance"]["notes"] == note
 
 
 class TestGridBudget:
@@ -1728,6 +1812,22 @@ class TestZeroLogSensitivity:
         # the error still crosses zero: 9 candidates, none a spike
         e = np.array([float(row.split(",")[1]) for row in rows])
         assert np.count_nonzero(np.sign(e[:-1]) * np.sign(e[1:]) < 0) == 9
+
+    @pytest.mark.parametrize("case", sorted(ZERO_LOGSENS))
+    def test_fully_masked_trace_has_no_spikes(self, case, tmp_path, capsys):
+        # e = 1e-320 exp(-t) is below the spike floor everywhere and
+        # underflows to 0 at t = 9, a dip among masked rows
+        params, diagnostic = ZERO_LOGSENS[case]
+        cfg = self.write(tmp_path, {"kind": "custom", "grid": {
+            "t_start": 0.0, "t_end": 12.0, "dt": 1.0}, "parameters": dict(
+                params, A1=[[-1.0, 0.0], [0.0, -2.0]], c=[1e-160, 0.0], v=[1e-160, 0.0])})
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "classification: Inconclusive", f"diagnostic: {diagnostic}"]
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert {row[-1] for row in rows} == {"1"}
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["empirical"]["detected_spikes"] == []
 
 
 class TestReportReasons:
