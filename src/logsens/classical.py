@@ -137,8 +137,8 @@ def close_loop(plant: OpenLoopPlant, poles):
     """
     k = place_poles(plant.nominal_A(), plant.b, poles)
     A0 = plant.nominal_A() - np.outer(plant.b, k)
-    lam = np.linalg.eigvals(A0)
-    if np.min(np.abs(lam)) < 1e-12 * (1 + np.max(np.abs(lam))):
+    lam = np.abs(np.asarray(poles, dtype=complex))  # place_poles matched A0 to them
+    if np.min(lam) < 1e-12 * (1 + np.max(lam)):
         raise ValueError("closed-loop pole at the origin: step tracking undefined")
     beta = np.linalg.solve(A0, plant.b)
     dc = float(plant.c @ beta)

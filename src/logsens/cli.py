@@ -111,7 +111,7 @@ class ConfigError(Exception):
 
     def __init__(self, path, message):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,8 @@ class Spectrum:
         try:
             Minv = np.linalg.inv(M)
         except np.linalg.LinAlgError:  # exactly parallel columns: cond_M ~ 1/eps
+            Minv = None
+        if Minv is None or not np.isfinite(Minv).all():  # or a subnormal pivot
             Minv = np.linalg.pinv(M)
         return cls(lam, M, Minv, tuple(_cluster_indices(lam[lead])),
                    tuple(blocks), float(np.linalg.cond(M)))

@@ -26,7 +26,6 @@ import numpy as np
 from .sensan import ErrorSystem
 
 __all__ = [
-    "HermitianBasis",
     "BlochModel",
     "gellmann_basis",
     "bloch_coherent",
@@ -40,24 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian basis: Tr(sigma_m sigma_n) = delta_mn.
+def gellmann_basis(N: int) -> np.ndarray:
+    """Generalized Gell-Mann basis of the N x N Hermitian matrices.
 
+    An (N^2, N, N) complex stack, orthonormal: Tr(sigma_m sigma_n) = delta_mn.
     The first N^2 - 1 elements are traceless; the last is I/sqrt(N).
     Ordering: symmetric off-diagonal pairs row-major, then antisymmetric in
     the same order, then the diagonal family, then the identity.
     """
-
-    dim: int
-    sigmas: tuple
-
-    def __len__(self):
-        return len(self.sigmas)
-
-
-def gellmann_basis(N: int) -> HermitianBasis:
-    """Generalized Gell-Mann basis of the N x N Hermitian matrices."""
     if N < 2:
         raise ValueError("basis dimension must be at least 2")
     mats = []
@@ -78,7 +67,7 @@ def gellmann_basis(N: int) -> HermitianBasis:
         d[l] = -float(l)
         mats.append(np.diag(d).astype(complex) / np.sqrt(l * (l + 1.0)))
     mats.append(np.eye(N, dtype=complex) / np.sqrt(N))
-    return HermitianBasis(dim=N, sigmas=tuple(mats))
+    return np.stack(mats)
 
 
 def _check_hermitian(H, tol, name):
@@ -90,40 +79,38 @@ def _check_hermitian(H, tol, name):
     return H
 
 
-def bloch_coherent(H, basis: HermitianBasis) -> np.ndarray:
+def bloch_coherent(H, basis: np.ndarray) -> np.ndarray:
     """Real antisymmetric Bloch generator of -1j*[H, .]."""
     H = _check_hermitian(H, 1e-12, "H")
-    if H.shape[0] != basis.dim:
+    if H.shape[0] != basis.shape[1]:
         raise ValueError("H dimension does not match basis")
     # A[m, n] = 1j * Tr(H [sig_m, sig_n]) = 1j * Tr([H, sig_m] sig_n)
-    P = np.stack(basis.sigmas)
-    A = 1j * np.einsum("mij,nji->mn", H @ P - P @ H, P)
+    A = 1j * np.einsum("mij,nji->mn", H @ basis - basis @ H, basis)
     return np.ascontiguousarray(A.real)
 
 
-def bloch_dissipator(V, basis: HermitianBasis) -> np.ndarray:
+def bloch_dissipator(V, basis: np.ndarray) -> np.ndarray:
     """Real Bloch generator of the dissipator of a single jump operator V."""
     V = np.asarray(V, dtype=complex)
-    if V.shape != (basis.dim, basis.dim):
+    if V.shape != basis.shape[1:]:
         raise ValueError("V dimension does not match basis")
     # Tr(W sig_m sig_n) = X[m, n] and Tr(W sig_n sig_m) = X[n, m]
-    P = np.stack(basis.sigmas)
     Vh = V.conj().T
-    jump = np.einsum("mij,nji->mn", Vh @ P @ V, P)
-    X = np.einsum("mij,nji->mn", (Vh @ V) @ P, P)
+    jump = np.einsum("mij,nji->mn", Vh @ basis @ V, basis)
+    X = np.einsum("mij,nji->mn", (Vh @ V) @ basis, basis)
     return np.ascontiguousarray((jump - 0.5 * (X + X.T)).real)
 
 
-def bloch_state(rho, basis: HermitianBasis) -> np.ndarray:
+def bloch_state(rho, basis: np.ndarray) -> np.ndarray:
     """Bloch vector of a density matrix: r_m = Tr(sigma_m rho)."""
     rho = _check_hermitian(rho, 1e-10, "rho")
-    if rho.shape[0] != basis.dim:
+    if rho.shape[0] != basis.shape[1]:
         raise ValueError("rho dimension does not match basis")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("rho must have unit trace")
     if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
         raise ValueError("rho must be positive semidefinite")
-    return np.array([np.trace(s @ rho).real for s in basis.sigmas])
+    return np.array([np.trace(s @ rho).real for s in basis])
 
 
 def steady_state(G) -> np.ndarray:
@@ -163,7 +150,7 @@ def overlap_readout(r_target, N: int) -> np.ndarray:
 class BlochModel:
     """Bloch-space model: generator A + L, readout, structure and state data."""
 
-    basis: HermitianBasis
+    basis: np.ndarray
     A: np.ndarray
     L: np.ndarray
     r0: np.ndarray

@@ -111,6 +111,29 @@ class TestCloseLoop:
         with pytest.raises(ValueError, match="origin"):
             close_loop(spring_mass_scenario(4.0), [0.0, -5.0])
 
+    @pytest.mark.parametrize("plant, poles", [
+        (spring_mass_scenario(4.0), [0.0, 0.0]),
+        # a double pole at 0 lands at +-5.6e-9, within the placement
+        # tolerance but off the origin: the requested set names it
+        (rlc_scenario(0.5), [0.0, 0.0, -1.0]),
+    ], ids=["spring_mass", "rlc_double"])
+    def test_requested_origin_rejected(self, plant, poles):
+        with pytest.raises(ValueError, match="^closed-loop pole at the origin"):
+            close_loop(plant, poles)
+
+    def test_placement_refusal_comes_first(self):
+        with pytest.raises(ValueError, match="^pole placement failed"):
+            close_loop(rlc_scenario(0.5), [0.0, 0.0, 0.0])
+
+    def test_one_eigen_solve(self, monkeypatch):
+        # place_poles verifies the spectrum; close_loop reuses its verdict
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda A: calls.append(A) or eigvals(A))
+        close_loop(spring_mass_scenario(4.0), [-2.0, -5.0])
+        assert len(calls) == 1
+
     def test_error_decays(self):
         loop, sys = close_loop(spring_mass_scenario(4.0), [-2.0, -5.0])
         T = 20.0 / 2.0  # 20 / |Re lambda_1|

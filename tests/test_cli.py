@@ -53,6 +53,13 @@ class TestValidateConfig:
         assert echoed["schema_version"] == 1
         assert echoed["parameters"]["xi0"] == 4.0
 
+    @pytest.mark.parametrize("raw", [[], None, "spring_mass"], ids=["list", "null", "str"])
+    def test_non_object_rejected(self, raw):
+        # a top-level refusal has no field path to name
+        with pytest.raises(ConfigError, match="^config must be a JSON object$") as e:
+            validate_config(raw)
+        assert e.value.path == ""
+
     def test_zero_dt_rejected(self):
         with pytest.raises(ConfigError, match="grid.dt"):
             validate_config({"kind": "spring_mass", "grid": {"dt": 0.0}})
@@ -924,6 +931,10 @@ class TestTable1:
         rows = table1_repro("n3", (0.98996,))
         assert rows[0]["abs_logsens"] == pytest.approx(21.079, rel=5e-3)
 
+    def test_unknown_chain_rejected(self):
+        with pytest.raises(ValueError, match="^chain must be 'n2' or 'n3'$"):
+            table1_repro("n4")
+
     def test_unreachable_flagged(self):
         rows = table1_repro("n2", (1.5,))
         assert rows[0]["flag"] == "unreachable"
@@ -1300,7 +1311,8 @@ class TestMainExitCodes:
 
 class TestOneLineFailures:
     """Failures the config fuzzer (``test_fuzz.py``) found printing more than
-    one stderr line: each is now one line, with nothing written."""
+    one stderr line: each is now one line, with nothing written, or, for the
+    non-finite inverse eigenbasis, a clean Inconclusive run."""
 
     write = TestMainExitCodes.write
 
@@ -1333,14 +1345,24 @@ class TestOneLineFailures:
         assert check.err == err
 
     def test_non_finite_inverse_eigenbasis(self, tmp_path, capsys):
-        # inv returns inf and NaN for this eigenbasis without raising; the
-        # spot check and check compare the oracles alone
-        err, check = self.run_and_check(tmp_path, capsys, {
+        # inv returns inf and NaN for this eigenbasis without raising;
+        # Spectrum falls back to the finite pinv, so the oracle run is
+        # Inconclusive, and the spot check and check compare the oracles alone
+        cfg = self.write(tmp_path, {
             "kind": "custom", "parameters": {
                 "A1": [[-1.0, 1e300], [0.0, -1.0]], "S": [[0.0, 0.0], [0.0, 0.0]],
                 "c": [0.0, 0.0], "v": [0.0, 0.0], "xi0": 0.0},
-            "grid": {"t_end": 1.0}, "method": "quadrature"}, 1, 0)
-        assert err == "numerical failure: invalid value encountered in matmul\n"
+            "grid": {"t_end": 1.0}, "method": "quadrature"})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "classification: Inconclusive" in captured.out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["classification"]["kind"] == "Inconclusive"
+        assert "cond_M = inf" in report["classification"]["diagnostic"]
+        assert "cond_M = inf" in report["oracle_check"]["skipped"]["analytic"]
+        assert main(["check", cfg, "--samples", "3"]) == 0
+        check = capsys.readouterr()
         assert check.err == ""
         assert "cond_M = inf" in json.loads(check.out)["skipped"]["analytic"]
 

@@ -28,8 +28,8 @@ def random_density(rng, n):
     return rho / np.trace(rho)
 
 
-# Inputs of the wrong dimension, and a chain site out of range, with the
-# message each is refused with.
+# Inputs of the wrong dimension, a chain site out of range and a traceless
+# steady state, with the message each is refused with.
 QUBIT = gellmann_basis(2)
 REFUSALS = {
     "basis_dimension": (lambda: gellmann_basis(1), "basis dimension must be at least 2"),
@@ -42,6 +42,8 @@ REFUSALS = {
                       "rho dimension does not match basis"),
     "excitation_site": (lambda: spin_chain_scenario(3, excitation_site=4),
                         r"excitation_site must be in 1\.\.3"),
+    "steady_state_traceless": (lambda: steady_state(np.diag([0.0, -1.0, -1.0, -1.0])),
+                               "nullspace vector has no identity component"),
 }
 
 
@@ -54,16 +56,21 @@ def test_refused(case):
 
 class TestGellmannBasis:
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
-    def test_orthonormal(self, N):
+    def test_complex_stack(self, N):
         basis = gellmann_basis(N)
-        sig = basis.sigmas
+        assert isinstance(basis, np.ndarray)
+        assert basis.shape == (N * N, N, N) and basis.dtype == complex
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_orthonormal(self, N):
+        sig = gellmann_basis(N)
         assert len(sig) == N * N
         G = np.array([[np.trace(a @ b).real for b in sig] for a in sig])
         np.testing.assert_allclose(G, np.eye(N * N), atol=1e-12)
 
     @pytest.mark.parametrize("N", [2, 4])
     def test_hermitian_traceless(self, N):
-        sig = gellmann_basis(N).sigmas
+        sig = gellmann_basis(N)
         for m in sig:
             np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
         for m in sig[:-1]:
@@ -71,7 +78,7 @@ class TestGellmannBasis:
         np.testing.assert_allclose(sig[-1], np.eye(N) / np.sqrt(N), atol=1e-15)
 
     def test_n2_is_scaled_pauli(self):
-        sig = gellmann_basis(2).sigmas
+        sig = gellmann_basis(2)
         s2 = np.sqrt(2)
         np.testing.assert_allclose(sig[0], np.array([[0, 1], [1, 0]]) / s2)
         np.testing.assert_allclose(sig[1], np.array([[0, -1j], [1j, 0]]) / s2)
@@ -84,8 +91,8 @@ class TestGellmannBasis:
 
 def trace_loop(f, basis):
     """Reference: [[Tr f(sig_m, sig_n)]], one trace per basis pair."""
-    return np.array([[np.trace(f(sm, sn)).real for sn in basis.sigmas]
-                     for sm in basis.sigmas])
+    return np.array([[np.trace(f(sm, sn)).real for sn in basis]
+                     for sm in basis])
 
 
 class TestBlochCoherent:
@@ -181,7 +188,7 @@ class TestBlochDissipator:
                - 0.5 * np.kron(I, W) - 0.5 * np.kron(W.T, I))
         rho_t = (expm(sup * t) @ rho0.reshape(-1, order="F")).reshape(n, n, order="F")
         np.testing.assert_allclose(
-            r_t, [np.trace(s @ rho_t).real for s in basis.sigmas], atol=1e-10)
+            r_t, [np.trace(s @ rho_t).real for s in basis], atol=1e-10)
 
 
 class TestBlochState:
@@ -196,7 +203,7 @@ class TestBlochState:
         basis = gellmann_basis(3)
         rho = random_density(rng, 3)
         r = bloch_state(rho, basis)
-        rec = sum(ri * s for ri, s in zip(r, basis.sigmas))
+        rec = sum(ri * s for ri, s in zip(r, basis))
         np.testing.assert_allclose(rec, rho, atol=1e-12)
 
     def test_pure_state_norm(self):

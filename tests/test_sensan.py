@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from logsens.matexp import (
+    Couplings,
     Spectrum,
     _refuse_imaginary,
     _require_real,
@@ -1204,6 +1205,51 @@ class TestClassify:
         cls = classify_system(A, np.ones((3, 3)), [0.5, 1.0, 0.0], [1.0, 1.0, 0.0], 1.0)
         assert (cls.kind, cls.sigma) == ("Inconclusive", pytest.approx(0.1))
         assert cls.diagnostic == "dominant oscillation has unevenly spaced minima"
+
+    @pytest.mark.parametrize("zw_plus, phi01", [(1 + 1j, -np.pi / 2), (1 - 1j, np.pi / 2)],
+                             ids=["im_positive", "im_negative"])
+    def test_pair_phase_on_imaginary_axis(self, zw_plus, phi01):
+        # P = zw_plus * conj(zw_minus) = zw_plus^2 = +-2i exactly: Re P = 0,
+        # where the phase takes its Re P -> 0+ limit atan(-Im P / 0+)
+        spec = Spectrum(eigenvalues=np.array([-0.1 + 1j, -0.1 - 1j]),
+                        M=np.eye(2, dtype=complex), Minv=np.eye(2, dtype=complex),
+                        clusters=((0,), (1,)))
+        coup = Couplings(z=np.array([zw_plus, np.conj(zw_plus)]), w=np.ones(2),
+                         Sbar=np.ones((2, 2)))
+        cls = classify(spec, coup, 1.0)
+        assert cls.kind == "PeriodicComplex"
+        assert (cls.constants["re_z1w1z2w2"], cls.constants["im_z1w1z2w2"]) == (
+            0.0, 2.0 * zw_plus.imag)
+        assert cls.phi01 == phi01 == math.atan(-2.0 * zw_plus.imag / 1e-300)
+        assert cls.t0 == (np.pi + phi01) / 2
+
+    def test_constant_modulus_has_no_minima(self):
+        # two equal pairs whose modal weights cancel: the dominant modal sum
+        # e^(i t) + e^(-i t) - e^(i t) - e^(-i t) is exactly 0 at every t,
+        # so no sample is a strict minimum and no schedule is predicted
+        lam = np.array([-0.1 + 1j, -0.1 - 1j, -0.1 + 1j, -0.1 - 1j])
+        spec = Spectrum(eigenvalues=lam, M=np.eye(4, dtype=complex),
+                        Minv=np.eye(4, dtype=complex), clusters=((0, 2), (1, 3)))
+        coup = Couplings(z=np.array([1.0, 1.0, -1.0, -1.0]), w=np.ones(4),
+                         Sbar=np.ones((4, 4)))
+        cls = classify(spec, coup, 1.0)
+        assert cls.kind == "Inconclusive"
+        assert cls.diagnostic == "dominant oscillation has unevenly spaced minima"
+
+    def test_early_minimum_anchored_a_period_later(self):
+        # e^(-0.1 t) (1 + cos(t + 0.8 pi)) dips to 0 once per period 2 pi,
+        # first at t = 0.2 pi <= period / 4; t0 moves on to 2.2 pi so that
+        # phi01 = 1.2 pi stays in (-pi/2, 3pi/2]
+        phi = 0.8 * np.pi
+        A = np.zeros((3, 3))
+        A[0, 0], A[1:, 1:] = -0.1, [[-0.1, 1.0], [-1.0, -0.1]]
+        cls = classify_system(A, np.ones((3, 3)), [1.0, 1.0, 0.0],
+                              [1.0, np.cos(phi), -np.sin(phi)], 1.0)
+        assert cls.kind == "PeriodicComplex"
+        assert cls.period == pytest.approx(2 * np.pi, rel=1e-9)
+        assert cls.t0 == pytest.approx(2.2 * np.pi, rel=1e-6)
+        assert cls.phi01 == pytest.approx(1.2 * np.pi, rel=1e-6)
+        assert cls.t0 == pytest.approx((np.pi + cls.phi01) / (2 * cls.omega), rel=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
