@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,19 +138,22 @@ class Spectrum:
         return (f"spectrum is near-defective (cond_M = {self.cond_M:.2e})"
                 if self.near_defective and not self.is_defective else "")
 
-    def cluster_means(self) -> np.ndarray:
-        """Eigenvalues with each entry replaced by its cluster mean."""
-        lam = self.eigenvalues.copy()
+    @cached_property
+    def layout(self):
+        """The modal layout, built once: the cluster means ``lam``, the
+        same-cluster mask, the gaps ``d = lam_p - lam_q`` (1 within a cluster),
+        the Jordan chain bounds ``head[p] <= p < end[p]`` and the longest ``L``."""
+        lam, same = self.eigenvalues.copy(), np.eye(self.n, dtype=bool)
         for grp in self.clusters:
-            if len(grp) > 1:
+            if len(grp) > 1:  # np.mean would turn a lone -0.0 part into +0.0
                 lam[list(grp)] = np.mean(self.eigenvalues[list(grp)])
-        return lam
-
-    def same_cluster_mask(self) -> np.ndarray:
-        mask = np.eye(self.n, dtype=bool)
-        for grp in self.clusters:
-            mask[np.ix_(grp, grp)] = True
-        return mask
+            same[np.ix_(grp, grp)] = True
+        p = np.arange(self.n)
+        head, end = p.copy(), p + 1
+        for s, size in self.jordan_blocks:
+            head[s:s + size], end[s:s + size] = s, s + size
+        d = np.where(same, 1.0, lam[:, None] - lam[None, :])
+        return lam, same, d, head, end, int(np.max(end - head))
 
     @classmethod
     def from_jordan(cls, eigenvalues, M, blocks):
@@ -274,18 +278,6 @@ def couplings(spec: Spectrum, S, c, vec) -> Couplings:
     return Couplings(z=c @ spec.M, w=spec.Minv @ vec, Sbar=spec.Minv @ S @ spec.M)
 
 
-def _layout(spec: Spectrum):
-    """The modal layout of ``spec``: cluster means ``lam``, the same-cluster
-    mask, the gaps ``d = lam_p - lam_q`` (1 within a cluster) and each
-    index's Jordan chain bounds, ``head[p] <= p < end[p]``."""
-    p = np.arange(spec.n)
-    lam, same = spec.cluster_means(), spec.same_cluster_mask()
-    head, end = p.copy(), p + 1
-    for s, size in spec.jordan_blocks:
-        head[s:s + size], end[s:s + size] = s, s + size
-    return lam, same, np.where(same, 1.0, lam[:, None] - lam[None, :]), head, end
-
-
 def _fractions(W, d, i, j):
     """Partial fractions of the integral of e^{lam_p (t-tau)} (t-tau)^i/i!
     e^{lam_q tau} tau^j/j! across clusters, weighted by ``W``: for r = i+j
@@ -322,8 +314,8 @@ def _dderiv(spec: Spectrum, Sbar, t, context):
     Sbar = _as_square(Sbar, "Sbar")
     if Sbar.shape != (spec.n, spec.n):
         raise ValueError(f"Sbar must have shape {(spec.n, spec.n)}, got {Sbar.shape}")
-    lam, same, d, head, end = _layout(spec)
-    p, L = np.arange(spec.n), int(np.max(end - head))
+    lam, same, d, head, end, L = spec.layout
+    p = np.arange(spec.n)
     X = np.zeros((spec.n, spec.n), np.result_type(Sbar, lam))
     for i, j in np.ndindex(L, L):
         rows, cols = p[p + i < end], p[p - j >= head]
@@ -337,7 +329,7 @@ def phi_matrix(spec: Spectrum, t: float) -> np.ndarray:
     (0, 0) ``_kernel`` on ``W = 1``: entry (m, n) is ``(exp(lam_m t) -
     exp(lam_n t)) / (lam_m - lam_n)`` across clusters and ``t exp(lam_m t)``
     within one (at the cluster means, so no cancellation at the switch)."""
-    return _kernel(*_layout(spec)[:3], np.ones((spec.n, spec.n)), t, 0, 0)
+    return _kernel(*spec.layout[:3], np.ones((spec.n, spec.n)), t, 0, 0)
 
 
 def dderiv_diag(spec: Spectrum, coup: Couplings, t: float) -> np.ndarray:

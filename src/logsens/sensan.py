@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matexp import (
+    DEFAULT_CLUSTER_TOL,
     Couplings,
     Spectrum,
     _fd_generator,
     _fd_step,
     _fractions,
-    _layout,
     _quadrature,
     _refuse_imaginary,
     couplings,
@@ -175,7 +175,7 @@ class DivergenceClassification:
 def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     """e(t) and de/dxi(t) on a grid, from any spectrum with its Jordan data.
 
-    In the Jordan basis (``matexp._layout``), couplings shift along blocks,
+    In the Jordan basis (``Spectrum.layout``), couplings shift along blocks,
     z^(i)_p = z_{p-i} and w^(j)_q = w_{q+j} (0 off the block), and each
     (i, j) weights W = Sbar * outer(z^(i), w^(j)) by the integral that
     ``matexp._kernel`` takes at the cluster means lam: t^(i+j+1)/(i+j+1)!
@@ -195,8 +195,7 @@ def _modal(sys: ErrorSystem, spec: Spectrum, times: np.ndarray):
     kept = sys.__dict__.get("_modal_coefficients")
     if kept is None or kept[0] is not spec:
         coup, p = sys.couplings(spec), np.arange(spec.n)
-        lam, same, d, head, end = _layout(spec)
-        L = int(np.max(end - head))
+        lam, same, d, head, end, L = spec.layout
         zs = [np.where(p - i >= head, np.roll(coup.z, i), 0) for i in range(L)]
         ws = [np.where(p + j < end, np.roll(coup.w, -j), 0) for j in range(L)]
         C = np.zeros((2 * L, spec.n), np.result_type(coup.Sbar, lam))
@@ -441,7 +440,8 @@ def _numeric_minima_timing(zw, omegas, omega0):
     The modulus is sampled in blocks of ``_BLOCK`` columns (O(n B) working
     memory); the column sums add the modes in order, as one n x samples
     array would; one exp per frequency up to sign (``_exponent_plan``).
-    Returns (t0, spacing) or None if the minima do not recur evenly.
+    Returns (t0, spacing), or why the minima cannot be timed: there are
+    none (a constant modulus), or they do not recur evenly.
     """
     T = 2 * np.pi / omega0
     ts = np.linspace(0.0, T, _MINIMA_SAMPLES, endpoint=False)
@@ -457,7 +457,8 @@ def _numeric_minima_timing(zw, omegas, omega0):
     is_min = (h <= left) & (h <= right) & ((h < left) | (h < right))
     idx = np.nonzero(is_min)[0]
     if len(idx) == 0:
-        return None
+        return ("dominant oscillation has constant modulus (its modal weights "
+                "cancel): no minima to time")
     depth = h[idx]
     keep = idx[depth <= depth.min() + 1e-6 * (h.max() - depth.min() + 1e-300)]
     # parabolic refinement of each kept minimum
@@ -471,7 +472,7 @@ def _numeric_minima_timing(zw, omegas, omega0):
     if len(times) > 1:
         gaps = np.diff(np.concatenate([times, [times[0] + T]]))
         if np.max(gaps) - np.min(gaps) > 1e-3 * T:
-            return None
+            return "dominant oscillation has unevenly spaced minima"
     spacing = T / len(times)
     t0 = times[0] if times[0] > 1e-9 * T else times[0] + spacing
     return t0, spacing
@@ -500,11 +501,10 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
             diagnostic="xi0 = 0: the log-sensitivity xi0 * (de/dxi) / e is "
                        "identically zero and does not diverge",
         )
-    lam = spec.eigenvalues
-    tol_dom = 1e-8 * (1.0 + float(np.max(np.abs(lam))))
-    dom_jordan = [b for b in spec.jordan_blocks if b[0] == 0 and b[1] > 1]
-    if dom_jordan:
-        size, sigma = int(dom_jordan[0][1]), float(max(0.0, -lam[0].real))
+    lam, size = spec.eigenvalues, int(spec.layout[4][0])  # the chain at index 0
+    tol_dom = DEFAULT_CLUSTER_TOL * (1.0 + float(np.max(np.abs(lam))))
+    if size > 1:
+        sigma = float(max(0.0, -lam[0].real))
         if abs(lam[0].imag) > tol_dom:
             return DivergenceClassification(
                 kind="Inconclusive", sigma=sigma,
@@ -602,10 +602,10 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     else:
         omegas = np.array([lam[m].imag for m in axis])
         timing = _numeric_minima_timing(np.array([zw[m] for m in axis]), omegas, omega0)
-        if timing is None:
+        if isinstance(timing, str):
             return DivergenceClassification(
                 kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
-                diagnostic="dominant oscillation has unevenly spaced minima",
+                diagnostic=timing,
             )
         t0, period = timing
         # anchor t0 in (period/4, 5*period/4] so phi01 lands in its

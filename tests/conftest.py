@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from logsens.matexp import Spectrum, _require_real
 
@@ -69,13 +70,24 @@ def make_jordan_system(rng, sizes, n_extra=0, lam1=-0.3, spread=1.0,
     return A, Spectrum.from_jordan(eigs, M, blocks)
 
 
+@st.composite
+def jordan_layouts(draw):
+    """Up to 3 blocks of sizes 1-3 at distinct real parts on a 0.1 grid, so
+    at least 0.1 apart; a block may sit on a complex eigenvalue, followed by
+    its conjugate block."""
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    steps = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k, unique=True))
+    imag = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=k, max_size=k))
+    return sizes, [complex(-0.1 * s, w) for s, w in zip(steps, imag)]
+
+
 def reference_phi_matrix(spec, t):
     """The divided-difference kernel as ``phi_matrix`` wrote it before the
     shared modal kernel: ``(e_m - e_n) / (lam_m - lam_n)`` across clusters,
     ``t e_m`` within one, at the cluster means, symmetrized."""
-    lam = spec.cluster_means()
+    lam, same = spec.layout[:2]
     e = np.exp(lam * t)
-    same = spec.same_cluster_mask()
     den = np.where(same, 1.0, lam[:, None] - lam[None, :])
     phi = np.where(same, t * e[:, None], (e[:, None] - e[None, :]) / den)
     return np.where(same, (phi + phi.T) / 2.0, phi)

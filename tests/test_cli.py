@@ -792,6 +792,26 @@ class TestCheckOracles:
         assert summary["max_rel_deviation"] < 1e-6
 
 
+    def test_overflowing_deviation_refused(self, monkeypatch):
+        # two paths whose de/dxi differ by 2e308, past the float range: the
+        # pair's deviation is inf, refused by name; under main's
+        # errstate(over="raise") the subtraction raises first (exit 1 either way)
+        sys_ = build_system(validate_config({"kind": "spring_mass"}))[0]
+
+        def fake_trace(sys_, ts, method="analytic"):
+            de = np.full(len(ts), {"analytic": 1e308, "blockaug": -1e308}[method])
+            return SensitivityTrace(ts, np.ones(len(ts)), de, de.copy(),
+                                    np.zeros(len(ts), dtype=bool))
+
+        monkeypatch.setattr(cli, "trace", fake_trace)
+        args = (sys_, np.array([1.0, 2.0]), ("analytic", "blockaug"))
+        with np.errstate(over="ignore"), pytest.raises(
+                ArithmeticError,
+                match="^oracle check: analytic_vs_blockaug deviation is inf$"):
+            cli._compare_paths(*args)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            cli._compare_paths(*args)
+
     def test_one_quadrature_per_distinct_step(self, monkeypatch):
         # each path is one trace over the sorted sample times: linspace(0,
         # 50, 20) has steps 0 and three roundings of 50/19

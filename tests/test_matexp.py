@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    jordan_layouts,
     make_jordan_system,
     reference_dderiv_diag,
     reference_dderiv_jordan,
@@ -612,6 +613,95 @@ class TestSpectrumConstruction:
         blocks = [b for b in spec.jordan_blocks if keep_unit_blocks or b[1] > 1]
         args = (spec.eigenvalues, spec.M, blocks)
         assert_same_spectrum(Spectrum.from_jordan(*args), reference_from_jordan(*args))
+
+
+def reference_layout(spec):
+    """The modal layout as ``matexp._layout`` rebuilt it on every call, from
+    ``Spectrum.cluster_means`` and ``Spectrum.same_cluster_mask``, with the
+    longest chain its callers took from it."""
+    lam = spec.eigenvalues.copy()
+    for grp in spec.clusters:
+        if len(grp) > 1:
+            lam[list(grp)] = np.mean(spec.eigenvalues[list(grp)])
+    same = np.eye(spec.n, dtype=bool)
+    for grp in spec.clusters:
+        same[np.ix_(grp, grp)] = True
+    p = np.arange(spec.n)
+    head, end = p.copy(), p + 1
+    for s, size in spec.jordan_blocks:
+        head[s:s + size], end[s:s + size] = s, s + size
+    d = np.where(same, 1.0, lam[:, None] - lam[None, :])
+    return lam, same, d, head, end, int(np.max(end - head))
+
+
+def assert_same_layout(spec):
+    got, want = spec.layout, reference_layout(spec)
+    assert len(got) == len(want) and got[-1] == want[-1]
+    assert type(got[-1]) is int
+    for a, b in zip(got[:-1], want[:-1]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestLayout:
+    """``Spectrum.layout`` is built once per spectrum, bit for bit the
+    layout that was rebuilt on every call."""
+
+    def test_built_once(self):
+        _, spec = make_jordan_system(np.random.default_rng(3), [2, 1], 1)
+        first = spec.layout
+        assert spec.layout is first
+        Sbar = spec.Minv @ np.ones((spec.n, spec.n)) @ spec.M
+        for t in (0.5, 2.0):
+            dderiv_jordan(spec, Sbar, t)
+        assert spec.__dict__["layout"] is first
+
+    @settings(max_examples=60)
+    @given(jordan_layouts(), st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+    def test_from_jordan(self, layout, seed, n_extra):
+        sizes, eigenvalues = layout
+        _, spec = make_jordan_system(np.random.default_rng(seed), sizes, n_extra,
+                                     eigenvalues=eigenvalues)
+        assert_same_layout(spec)
+
+    def test_eig_decompose_shipped(self):
+        specs = [eig_decompose(A) for A in shipped_generators()]
+        # spin_chain N = 4, among others, has clusters of several members
+        assert any(len(grp) > 1 for spec in specs for grp in spec.clusters)
+        for spec in specs:
+            assert_same_layout(spec)
+
+    @settings(max_examples=100)
+    @given(lam=clustered_sets().filter(len))
+    # a one-member cluster keeps the sign of its zero imaginary part
+    @example(lam=np.array([0.0, complex(-1e-6, -0.0)]))
+    def test_built_clusters(self, lam):
+        n = len(lam)
+        assert_same_layout(Spectrum(eigenvalues=lam, M=np.eye(n), Minv=np.eye(n),
+                                    clusters=tuple(matexp._cluster_indices(lam))))
+
+    def test_default_clusters(self):
+        lam = np.array([-1.0 + 1.0j, -1.0 - 1.0j, -1.0 + 1.0j, -2.0])
+        spec = Spectrum(eigenvalues=lam, M=np.eye(4, dtype=complex),
+                        Minv=np.eye(4, dtype=complex))
+        assert spec.clusters == ()
+        assert_same_layout(spec)
+        assert spec.layout[0] is not lam and np.array_equal(spec.layout[0], lam)
+        assert np.array_equal(spec.layout[1], np.eye(4, dtype=bool))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_classify_reads_the_chain_at_index_0(self, size):
+        from logsens.sensan import classify
+        n = size + 1
+        M = np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / n
+        S, c, v = np.ones((n, n)), np.ones(n), np.arange(1.0, n + 1)
+        lead = Spectrum.from_jordan([-0.3] * size + [-2.0], M, [(0, size)])
+        cls = classify(lead, couplings(lead, S, c, v), 1.0)
+        assert (cls.kind, cls.degree) == ("PolynomialJordan", size)
+        # the same block behind a simple dominant eigenvalue
+        behind = Spectrum.from_jordan([-0.1] + [-0.3] * size, M, [(1, size)])
+        cls = classify(behind, couplings(behind, S, c, v), 1.0)
+        assert cls.kind == "LinearReal" and cls.degree is None
 
 
 class TestCrossPathProperties:

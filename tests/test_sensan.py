@@ -5,7 +5,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import make_jordan_system, peak_mib, reference_dderiv_jordan
+from conftest import (
+    jordan_layouts,
+    make_jordan_system,
+    peak_mib,
+    reference_dderiv_jordan,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -306,8 +311,7 @@ def reference_coefficients(sys, spec):
     blocks were folded in: e = Re zw @ exp(lam_raw t), de/dxi = Re (a + b t)
     @ exp(lam t) at the cluster means lam."""
     coup = sys.couplings(spec)
-    lam = spec.cluster_means()
-    same = spec.same_cluster_mask()
+    lam, same = spec.layout[:2]
     W = coup.Sbar * np.outer(coup.z, coup.w)
     R = np.where(same, 0.0, W / np.where(same, 1.0, lam[:, None] - lam[None, :]))
     a = R.sum(axis=1) - R.sum(axis=0)
@@ -443,7 +447,7 @@ def blocked_reference_modal(sys, spec, times):
     the cluster means for de/dxi, and a second exp, for the error, on every
     mode whose cluster mean is not its own eigenvalue."""
     coup, p = sys.couplings(spec), np.arange(spec.n)
-    lam, same = spec.cluster_means(), spec.same_cluster_mask()
+    lam, same = spec.layout[:2]
     d = np.where(same, 1.0, lam[:, None] - lam[None, :])
     head, end = p.copy(), p + 1
     for s, size in spec.jordan_blocks:
@@ -559,7 +563,7 @@ class TestMirrorIdentity:
         cfg = validate_config({"kind": kind, "parameters": params})
         spec = build_system(cfg)[0].spectrum()
         times = cfg.grid_times()
-        for lam in (spec.cluster_means(), spec.eigenvalues):
+        for lam in (spec.layout[0], spec.eigenvalues):
             assert same_mirror_bytes(np.outer(lam, times))
 
     def test_minima_scan_exponents(self, monkeypatch):
@@ -620,18 +624,6 @@ def jordan_case(seed, sizes, n_extra=0, **kw):
 def column_dev(got, want):
     """Largest deviation of each column pair, as a fraction of its maximum."""
     return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
-
-
-@st.composite
-def jordan_layouts(draw):
-    """Up to 3 blocks of sizes 1-3 at distinct real parts on a 0.1 grid, so
-    at least 0.1 apart; a block may sit on a complex eigenvalue, followed by
-    its conjugate block."""
-    k = draw(st.integers(1, 3))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
-    steps = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k, unique=True))
-    imag = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=k, max_size=k))
-    return sizes, [complex(-0.1 * s, w) for s, w in zip(steps, imag)]
 
 
 class TestJordanModal:
@@ -1234,7 +1226,8 @@ class TestClassify:
                          Sbar=np.ones((4, 4)))
         cls = classify(spec, coup, 1.0)
         assert cls.kind == "Inconclusive"
-        assert cls.diagnostic == "dominant oscillation has unevenly spaced minima"
+        assert cls.diagnostic == ("dominant oscillation has constant modulus (its "
+                                  "modal weights cancel): no minima to time")
 
     def test_early_minimum_anchored_a_period_later(self):
         # e^(-0.1 t) (1 + cos(t + 0.8 pi)) dips to 0 once per period 2 pi,

@@ -3,6 +3,7 @@
 Usage (from any directory)::
 
     python tools/op_digests.py [--tiny] SEED [SEED ...] > digests.txt
+    python tools/op_digests.py --against REF [--tiny] SEED [SEED ...]
 
 For each seed, each op of the three workloads in ``benchmarks/workloads.py``
 runs once through ``logsens.cli.main`` of this checkout's ``src/``, in a
@@ -15,6 +16,14 @@ files are the ones the op wrote, sorted by name.  Run the script on two
 checkouts and ``diff`` the outputs: no difference means every exit code,
 stdout and output file is byte-identical.  ``--tiny`` runs the workloads'
 tiny ops instead, in seconds.
+
+``--against REF`` does both runs itself: it extracts ``git archive REF src``
+into a temporary directory, puts this checkout's ``tools/op_digests.py`` and
+``benchmarks/`` beside it, so both sides run the same ops, and runs that
+copy in a subprocess (two ``logsens`` packages cannot share one
+interpreter).  It prints the number of identical ops, or each differing op
+as a ``-`` (REF) / ``+`` (this checkout) pair, and exits 0 only when the two
+sides are identical.
 """
 
 from __future__ import annotations
@@ -23,8 +32,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 import warnings
 
@@ -63,16 +76,46 @@ def op_lines(workload, seed, tiny=False):
                             f"stdout={_sha(stdout.encode())}", *files])
 
 
+def ref_lines(ref, argv):
+    """The digest lines of ``git archive REF src``, run with this checkout's
+    script and benchmarks on the arguments ``argv``."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", ref, "src"],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        shutil.copytree(os.path.join(ROOT, "benchmarks"), os.path.join(tmp, "benchmarks"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        os.mkdir(os.path.join(tmp, "tools"))
+        script = shutil.copy(os.path.abspath(__file__), os.path.join(tmp, "tools"))
+        return subprocess.run([sys.executable, script, *argv], check=True,
+                              stdout=subprocess.PIPE, text=True).stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--tiny", action="store_true",
                         help="the workloads' tiny ops")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare with the src/ of git revision REF")
     args = parser.parse_args(argv)
-    for seed in args.seeds:
-        for workload in workloads.WORKLOADS:
-            for line in op_lines(workload, seed, args.tiny):
-                print(line, flush=True)
+    lines = (line for seed in args.seeds for workload in workloads.WORKLOADS
+             for line in op_lines(workload, seed, args.tiny))
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    theirs = ref_lines(args.against, [*(["--tiny"] * args.tiny), *map(str, args.seeds)])
+    differ = 0
+    for old, new in itertools.zip_longest(theirs, lines, fillvalue="(no op)"):
+        if old != new:
+            differ += 1
+            print(f"- {old}\n+ {new}", flush=True)
+    if differ:
+        print(f"{differ} ops differ from {args.against}")
+        return 1
+    print(f"{len(theirs)} ops identical to {args.against}")
     return 0
 
 
