@@ -22,26 +22,26 @@ one numpy/BLAS build and BLAS thread count: no timestamps, sorted
 report keys, shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
-A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is formatted by
-worker processes forked with it, one per usable CPU, each block in one task
-and at most two tasks per worker in flight, so the parent's memory stays
-O(block); the bytes do not depend on the worker count.  On one CPU, on a
-shorter trace, or where processes cannot fork, this process formats it.
+A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is cut into one
+contiguous run of blocks per usable CPU: this process formats the first
+while a forked child formats each other run into a temp file, then appends
+the parts in row order, so the bytes do not depend on the CPU count and the
+parent's memory stays O(block).
 Outputs get the mode a plain ``open()`` would give them.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -467,12 +467,8 @@ def _atomic_write(path, pieces):
 
 
 _CSV_BLOCK = 1024  # rows formatted and written at a time
-_CSV_POOL_ROWS = 32 * _CSV_BLOCK  # shortest trace formatted by worker processes
+_CSV_POOL_ROWS = 32 * _CSV_BLOCK  # shortest trace split among forked processes
 _CSV_MAX_WORKERS = 8  # each fork copies the parent's page tables
-
-# The trace a worker process formats, set by ``_init_csv_worker`` in each
-# worker; the parent never sets it.
-_worker_trace = None
 
 
 def _csv_block(tr, lo):
@@ -490,69 +486,82 @@ def _csv_block(tr, lo):
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
-def _init_csv_worker(tr):
-    global _worker_trace
-    _worker_trace = tr
-
-
-def _csv_worker_block(lo):
-    return _csv_block(_worker_trace, lo)
-
-
 def _csv_workers(rows):
-    """Worker processes to format a trace of ``rows`` rows: one per usable
-    CPU, at most ``_CSV_MAX_WORKERS``; 0 (format in this process) below
-    ``_CSV_POOL_ROWS`` rows, on one CPU, or where processes cannot fork."""
+    """Processes to format a trace of ``rows`` rows: one per usable CPU, at
+    most ``_CSV_MAX_WORKERS``; 1 (this process alone) below
+    ``_CSV_POOL_ROWS`` rows or where the usable CPUs are unknown."""
     if rows < _CSV_POOL_ROWS or not hasattr(os, "sched_getaffinity"):
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    import multiprocessing  # here, not at start-up: 3 ms of every command
-    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    return min(cpus, _CSV_MAX_WORKERS)
+        return 1
+    return min(len(os.sched_getaffinity(0)), _CSV_MAX_WORKERS)
 
 
-def _csv_blocks(tr):
-    """The trace CSV's header, then its blocks of rows in order.
+def _format_part(tr, run, part):
+    """In a forked child: write the CSV of the blocks starting at ``run`` to
+    the binary file ``part``, or else the pickled exception that stopped it
+    at the file's start, and leave by ``os._exit``: status 0, 1, or 2 for neither."""
+    status = 2
+    try:
+        for lo in run:
+            part.write(_csv_block(tr, lo).encode())
+        part.flush()
+        status = 0
+    except BaseException as e:
+        os.pwrite(part.fileno(), pickle.dumps(e), 0)
+        status = 1
+    finally:
+        os._exit(status)
 
-    A long trace's blocks are formatted by ``_csv_workers`` processes forked
-    with the trace, one block per task and at most two tasks per worker in
-    flight; pending tasks are cancelled and the workers joined when the
-    generator finishes, fails or is closed.  Fork, not spawn: a spawned
-    worker would import numpy afresh and be sent the trace, while a forked
-    one runs only ``_csv_block``, which takes no lock another thread of the
-    parent could hold at the fork (no BLAS call, no import, no I/O).
+
+def _csv_blocks(tr, d):
+    """The trace CSV's header, then its rows in order.
+
+    The block starts are cut into ``_csv_workers`` contiguous runs.  One
+    child is forked per run after the first, before any formatting, to write
+    its run to an unnamed temp file in directory ``d``.  This process yields
+    its own run, then each child's part in order once that child exited 0.
+    A child's exception is raised here; a child ended otherwise is a
+    ``ChildProcessError``.  Every child is killed and reaped when the
+    generator finishes, fails or is closed.  A forked child runs only
+    ``_csv_block``, which takes no lock another thread may hold at the fork.
     """
     yield "t,error,abs_error,derror,logsens,abs_logsens,spike_flag\n"
     starts = range(0, len(tr), _CSV_BLOCK)
-    workers = _csv_workers(len(tr))
-    if not workers:
-        for lo in starts:
-            yield _csv_block(tr, lo)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_csv_worker, initargs=(tr,))
-    try:
-        tasks = collections.deque()
-        for lo in starts:
-            tasks.append(pool.submit(_csv_worker_block, lo))
-            if len(tasks) == 2 * workers:
-                yield tasks.popleft().result()
-        while tasks:
-            yield tasks.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    k = _csv_workers(len(tr))
+    runs = [starts[len(starts) * i // k:len(starts) * (i + 1) // k] for i in range(k)]
+    children = []  # (pid, part) of each child not yet reaped, in run order
+    with contextlib.ExitStack() as parts:
+        try:
+            for run in runs[1:]:
+                part = parts.enter_context(tempfile.TemporaryFile(dir=d))
+                pid = os.fork()
+                if pid == 0:
+                    _format_part(tr, run, part)
+                children.append((pid, part))
+            for lo in runs[0]:
+                yield _csv_block(tr, lo)
+            while children:
+                pid, part = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                part.seek(0)
+                if code == 1:
+                    raise pickle.load(part)
+                if code:
+                    why = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise ChildProcessError(f"CSV worker process {pid} ended by {why}")
+                while piece := part.read(1 << 20):  # 1 MiB at a time
+                    yield piece.decode()
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_trace_csv(path, tr):
     """Trace CSV: shortest round-trip floats, empty logsens on masked rows,
-    formatted column-wise and streamed to disk in blocks of rows.  Any worker
-    process it starts has ended when it returns or raises."""
-    with contextlib.closing(_csv_blocks(tr)) as blocks:
+    formatted column-wise and streamed to disk in blocks of rows.  Any
+    process it forks has ended when it returns or raises."""
+    with contextlib.closing(_csv_blocks(tr, os.path.dirname(os.path.abspath(path)))) as blocks:
         _atomic_write(path, blocks)
 
 
@@ -764,11 +773,11 @@ def write_table1_csv(path, rows):
 
 def _load_config(path, grid_override=None, method_override=None, read=validate_config):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(path, f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, a 4301-digit int, deep nesting
         raise ConfigError(path, f"invalid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError(path, "config must be a JSON object")
@@ -862,7 +871,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 1
-    except BrokenExecutor as e:
+    except ChildProcessError as e:  # an OSError, so caught first
         print(f"worker process failed: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -1,11 +1,9 @@
 """Tests for config validation, scenario runs, file outputs and exit codes."""
 
-import concurrent.futures
 import copy
 import errno
 import json
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -13,7 +11,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -359,23 +356,24 @@ def awkward_trace(rows, seed=0):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Every process pool started while the test runs, as ``[workers, tasks
-    submitted]``."""
-    started = []
+def forks(monkeypatch):
+    """The pid of every child forked while the test runs."""
+    forked, fork = [], os.fork
 
-    class Spy(ProcessPoolExecutor):
-        def __init__(self, workers, *args, **kwargs):
-            super().__init__(workers, *args, **kwargs)
-            self.record = [workers, 0]
-            started.append(self.record)
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def submit(self, *args, **kwargs):
-            self.record[1] += 1
-            return super().submit(*args, **kwargs)
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    return started
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def usable_cpus(monkeypatch, k):
@@ -384,8 +382,8 @@ def usable_cpus(monkeypatch, k):
 
 class TestTraceCsvWriter:
     """The block writer reproduces the row formatter's bytes, whether this
-    process or forked workers format the blocks, and keeps its memory to a
-    block of rows."""
+    process alone or it and forked children format the blocks, and keeps
+    its memory to a block of rows."""
 
     @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
                                       _CSV_BLOCK + 1])
@@ -402,46 +400,55 @@ class TestTraceCsvWriter:
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
 
     @pytest.mark.parametrize("blocks", [31, 32, 33])
-    def test_pool_from_32_blocks(self, blocks, pools, tmp_path, monkeypatch):
-        usable_cpus(monkeypatch, 2)
+    def test_pool_from_32_blocks(self, blocks, forks, tmp_path, monkeypatch):
+        # three runs: 10, 11 and 11 blocks at 32, none forked at 31
+        usable_cpus(monkeypatch, 3)
         tr = awkward_trace(blocks * _CSV_BLOCK)
         write_trace_csv(tmp_path / "trace.csv", tr)
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
-        assert pools == ([] if blocks < 32 else [[2, blocks]])
+        assert len(forks) == (0 if blocks < 32 else 2)
+        assert_no_children()
 
-    def test_awkward_values_across_pool_blocks(self, pools, tmp_path, monkeypatch):
+    def test_awkward_values_across_pool_blocks(self, forks, tmp_path, monkeypatch):
         # masked rows on both sides of each of the 39 block boundaries
         usable_cpus(monkeypatch, 2)
         tr = awkward_trace(39 * _CSV_BLOCK + 5, seed=1)
         write_trace_csv(tmp_path / "trace.csv", tr)
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
-        assert pools == [[2, 40]]
+        assert len(forks) == 1
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_bytes_independent_of_cpus(self, cpus, pools, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+    def test_bytes_independent_of_cpus(self, cpus, forks, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, cpus)
         cfg = validate_config({"kind": "spin_chain", "grid": {"dt": 1e-3}})
         tr = trace(build_system(cfg)[0], cfg.grid_times())
         assert tr.spike_mask.any() and not tr.spike_mask.all()
         write_trace_csv(tmp_path / "trace.csv", tr)
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(tr)
-        assert pools == ([] if cpus == 1 else [[cpus, 49]])
+        assert len(forks) == cpus - 1
+        assert_no_children()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
     @pytest.mark.parametrize("cpus", [2, 4])
-    def test_tasks_in_flight_bounded(self, cpus, pools, monkeypatch):
+    def test_closed_stream_leaves_no_child(self, cpus, forks, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, cpus)
-        blocks = cli._csv_blocks(awkward_trace(40 * _CSV_BLOCK))
-        next(blocks)  # the header, before any pool starts
-        in_flight = []
-        for taken, _ in enumerate(blocks):
-            in_flight.append(pools[0][1] - taken)
-        assert len(in_flight) == 40 and max(in_flight) == 2 * cpus
-        assert multiprocessing.active_children() == []
+        blocks = cli._csv_blocks(awkward_trace(40 * _CSV_BLOCK), str(tmp_path))
+        next(blocks)  # the header, before any fork
+        assert forks == []
+        next(blocks)  # this process's first block, after every fork
+        assert len(forks) == cpus - 1
+        blocks.close()
+        assert_no_children()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_memory_does_not_grow_with_rows(self, tmp_path):
-        # the row-at-a-time writer peaked at 45 MiB here, this one at 0.5 MiB
+    def test_memory_does_not_grow_with_rows(self, forks, tmp_path, monkeypatch):
+        # the row-at-a-time writer peaked at 45 MiB here, this one at 0.4 MiB
+        # alone and 3.0 MiB with a child (its 1 MiB pieces)
         tr = awkward_trace(200_000)
-        assert peak_mib(lambda: write_trace_csv(tmp_path / "trace.csv", tr)) < 16
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            assert peak_mib(lambda: write_trace_csv(tmp_path / "trace.csv", tr)) < 16
+        assert len(forks) == 1
 
     def test_failed_stream_keeps_previous_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -480,8 +487,8 @@ class TestTraceCsvWriter:
 
 
 class TestWorkerProcesses:
-    """No worker process outlives a write, and a failure in a worker or in
-    the file keeps the previous file and leaves no temp file."""
+    """No forked child outlives a write, and a failure in a child or in the
+    file keeps the previous file and leaves no temp file."""
 
     @pytest.fixture
     def out(self, tmp_path, monkeypatch):
@@ -500,21 +507,21 @@ class TestWorkerProcesses:
         parent, block = os.getpid(), cli._csv_block
 
         def failing(tr, lo):
-            assert os.getpid() != parent, "block formatted in the parent"
-            if lo == 5 * _CSV_BLOCK:
+            if lo == 40 * _CSV_BLOCK:  # in the child's run, blocks 24 to 48
+                assert os.getpid() != parent, "block formatted in the parent"
                 fail()
             return block(tr, lo)
 
         monkeypatch.setattr(cli, "_csv_block", failing)
 
-    def test_none_after_write(self, out, pools, capsys):
+    def test_none_after_write(self, out, forks, capsys):
         assert self.run_long(out) == 0
-        assert multiprocessing.active_children() == []
-        assert pools == [[2, 49]]
+        assert_no_children()
+        assert len(forks) == 1
         assert sorted(p.name for p in out.iterdir()) == [
             "cfg.json", "report.json", "trace.csv"]
 
-    def test_failed_writelines(self, out, pools, monkeypatch):
+    def test_failed_writelines(self, out, forks, monkeypatch):
         fdopen = os.fdopen
 
         class FullDisk:
@@ -538,12 +545,12 @@ class TestWorkerProcesses:
             write_trace_csv(str(out / "trace.csv"), awkward_trace(40 * _CSV_BLOCK))
         # the traceback, which holds the block stream, is still alive here
         assert failed.value.errno == errno.ENOSPC
-        assert multiprocessing.active_children() == []
-        assert pools[0][0] == 2 and pools[0][1] < 40
+        assert_no_children()
+        assert len(forks) == 1
         assert (out / "trace.csv").read_bytes() == b"previous\n"
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
-    def test_worker_out_of_memory_is_1(self, out, pools, monkeypatch, capsys):
+    def test_worker_out_of_memory_is_1(self, out, forks, monkeypatch, capsys):
         def exhausted():
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
@@ -551,18 +558,19 @@ class TestWorkerProcesses:
         assert self.run_long(out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("out of memory: Unable")
-        assert multiprocessing.active_children() == []
-        assert pools[0][0] == 2
+        assert_no_children()
+        assert len(forks) == 1
         assert (out / "trace.csv").read_bytes() == b"previous\n"
         assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
 
-    def test_killed_worker_is_1(self, out, pools, monkeypatch, capsys):
+    def test_killed_worker_is_1(self, out, forks, monkeypatch, capsys):
         self.fail_in_worker(monkeypatch,
                             lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert self.run_long(out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("worker process failed: ")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+        assert len(forks) == 1
         assert (out / "trace.csv").read_bytes() == b"previous\n"
         assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
 
@@ -1219,7 +1227,7 @@ class TestMainExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
-        def exhausted_after_header(tr):
+        def exhausted_after_header(tr, d):
             yield "t,error\n"
             exhausted()
 
@@ -1810,6 +1818,22 @@ class TestConfigRefusals:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {cfg}: cannot read config: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [
+        '{"kind": "rlc", "method": "\xe9"}'.encode("latin-1"),
+        b'{"kind": "rlc", "seed": 1' + b"0" * 4300 + b"}",
+        b"[" * 100_000,
+    ], ids=["not_utf8", "int_over_4300_digits", "nested_1e5_deep"])
+    def test_unreadable_json(self, raw, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        for argv in (["run", str(cfg), "--out-dir", str(tmp_path / "out")],
+                     ["check", str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: {cfg}: invalid JSON: ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])

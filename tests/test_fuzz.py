@@ -4,7 +4,9 @@ laced with adversarial numbers, run through ``main``.
 Every config ``main`` is given ends one of two ways: a result whose trace
 and oracle comparison are finite, or one stderr line with the exit code of
 its cause.  Grids have at most 50 rows and chains at most 4 sites, so each
-example takes milliseconds.
+example takes milliseconds.  Config files that are no JSON config at all
+(arbitrary bytes, a config cut short, a number nested in up to 1e5 lists)
+end in a result or one ``config error:`` line.
 """
 
 import contextlib
@@ -262,3 +264,38 @@ def _fuzz(doc):
 @given(data=st.data())
 def test_every_config_ends_in_a_result_or_one_line(kind, data):
     _fuzz(data.draw(configs(kind)))
+
+
+@st.composite
+def raw_files(draw):
+    """The bytes of a config file: arbitrary, a config cut short, or a
+    config with one number nested in 1 to 1e5 lists, closed or not."""
+    case = draw(st.sampled_from(["bytes", "truncated", "nested"]))
+    if case == "bytes":
+        return draw(st.binary(max_size=100))
+    doc = draw(configs(draw(st.sampled_from(list(_KIND_DEFAULTS)))))
+    if case == "truncated":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    depth = draw(st.sampled_from([1, 30, 999, 100_000]))
+    _put(doc, draw(st.sampled_from(_numbers(doc))), "NEST")
+    nest = "[" * depth + "0" + ("]" * depth if draw(st.booleans()) else "")
+    return json.dumps(doc).replace('"NEST"', nest).encode()
+
+
+@settings(max_examples=100)
+@given(raw=raw_files())
+def test_every_raw_file_ends_in_a_result_or_one_line(raw):
+    with tempfile.TemporaryDirectory() as work:
+        cfg = os.path.join(work, "cfg.json")
+        with open(cfg, "wb") as f:
+            f.write(raw)
+        for argv in (["run", cfg, "--out-dir", os.path.join(work, "out")],
+                     ["check", cfg, "--samples", "3"]):
+            rc, _, err = _call(argv)
+            assert rc in (0, 2), (rc, err)
+            if rc == 2:
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+                assert err.startswith("config error: "), err
+            else:
+                assert err == "", err

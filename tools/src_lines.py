@@ -10,9 +10,10 @@ Runs the script or module as ``python SCRIPT ...`` or ``python -m MODULE
 target's own directory, under a ``sys.settrace`` line tracer (stdlib only).
 Then it prints ``src/logsens/<file>.py:<line>`` for every executable line
 that never ran, one per line, and a count on stderr.  A line is executable
-when the compiled module attributes an instruction to it.  Only the traced
-process's threads are seen: lines that run only in forked workers are
-listed as never run.  The exit code is the target's.
+when the compiled module attributes an instruction to it.  The traced
+process's threads are seen, and so are its forked children that leave by
+``os._exit`` (the CSV writer's do): each saves its lines for the parent to
+merge.  The exit code is the target's.
 
 For example, the lines the tier-1 suite never runs::
 
@@ -22,8 +23,10 @@ For example, the lines the tier-1 suite never runs::
 from __future__ import annotations
 
 import os
+import pickle
 import runpy
 import sys
+import tempfile
 import threading
 import types
 
@@ -63,6 +66,22 @@ def _tracer(ran):
     return global_
 
 
+def _saving_exit(ran, directory):
+    """An ``os._exit`` that, in a process forked from this one, first saves
+    ``ran`` to ``directory`` as ``<pid>.pickle``."""
+    parent, exit_ = os.getpid(), os._exit
+
+    def _exit(status):
+        try:
+            if os.getpid() != parent:
+                with open(os.path.join(directory, f"{os.getpid()}.pickle"), "wb") as f:
+                    pickle.dump(ran, f)
+        finally:
+            exit_(status)
+
+    return _exit
+
+
 def main(argv=None):
     """Run the target; print the lines it never ran; return its exit status."""
     argv = sys.argv[1:] if argv is None else argv
@@ -76,19 +95,26 @@ def main(argv=None):
     sys.path.insert(1, os.path.join(ROOT, "src"))
     ran = set()
     tracer = _tracer(ran)
-    threading.settrace(tracer)
-    sys.settrace(tracer)
-    try:
-        if module:
-            runpy.run_module(target, run_name="__main__", alter_sys=True)
-        else:
-            runpy.run_path(target, run_name="__main__")
-        rc = 0
-    except SystemExit as e:
-        rc = e.code
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    exit_ = os._exit
+    with tempfile.TemporaryDirectory() as forked:
+        os._exit = _saving_exit(ran, forked)
+        threading.settrace(tracer)
+        sys.settrace(tracer)
+        try:
+            if module:
+                runpy.run_module(target, run_name="__main__", alter_sys=True)
+            else:
+                runpy.run_path(target, run_name="__main__")
+            rc = 0
+        except SystemExit as e:
+            rc = e.code
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            os._exit = exit_
+        for name in os.listdir(forked):
+            with open(os.path.join(forked, name), "rb") as f:
+                ran |= pickle.load(f)
     sys.stdout.flush()
     missed = 0
     for name in sorted(os.listdir(PACKAGE)):
