@@ -9,13 +9,13 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure (a non-finite trace value or any overflow included), out of memory, a CSV
-worker process that died or an output that cannot be written (each with
-one line on stderr), 2 config error (so are a usage error, a non-finite
-number or a bool where a number belongs, a config a scenario builder
-refuses, a grid over ``MAX_GRID_ROWS`` samples or with merging times, a
-chain over ``MAX_CHAIN_SITES`` sites, output names that are empty, end in a
-separator or name one file twice, a non-finite ``table1 --targets`` value).
+failure (a non-finite trace value or any overflow included), out of memory or
+an output that cannot be written (each with one line on stderr), 2 config
+error (so are a usage error, a non-finite number or a bool where a number
+belongs, a config a scenario builder refuses, a grid over ``MAX_GRID_ROWS``
+samples or with merging times, a chain over ``MAX_CHAIN_SITES`` sites, output
+names that are empty, end in a separator, name one file twice or one inside
+the other, a non-finite ``table1 --targets`` value).
 Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
 given.  For a fixed config the outputs are byte-identical across runs on
 one numpy/BLAS build and BLAS thread count: no timestamps, sorted
@@ -24,9 +24,9 @@ The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
 A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is cut into one
 contiguous run of blocks per usable CPU: this process formats the first
-while a forked child formats each other run into a temp file, then appends
-the parts in row order, so the bytes do not depend on the CPU count and the
-parent's memory stays O(block).
+while a forked child formats each other run into a temp file.  Then, in row
+order, it copies the part of each child that exited 0 and formats any other
+run itself, so the bytes depend on neither the CPU count nor a child's fate.
 Outputs get the mode a plain ``open()`` would give them.
 """
 
@@ -38,7 +38,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import signal
 import sys
 import tempfile
@@ -126,7 +125,7 @@ class ScenarioConfig:
 
     def grid_times(self) -> np.ndarray:
         t0, t1, dt = self.grid
-        n = int(round((t1 - t0) / dt))
+        n = math.floor((t1 - t0) / dt + 1e-6)  # none past t1; the ratio errs < 1e-8
         return t0 + dt * np.arange(n + 1)
 
     def echo(self) -> dict:
@@ -341,9 +340,10 @@ def _read_config(raw) -> ScenarioConfig:
     for key, name in outputs.items():
         if os.path.basename(name) in ("", ".", ".."):
             raise ConfigError(f"outputs.{key}", f"{name!r} does not name a file")
-    if os.path.normpath(outputs["trace_csv"]) == os.path.normpath(outputs["report_json"]):
+    trace_csv, report_json = (os.path.normpath(name) + os.sep for name in outputs.values())
+    if trace_csv.startswith(report_json) or report_json.startswith(trace_csv):
         raise ConfigError("outputs.report_json", "names the same file as "
-                                                 "outputs.trace_csv")
+                          "outputs.trace_csv, or one lies inside the other")
     seed = _number(raw.get("seed"), "seed", 0, int)
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
@@ -445,24 +445,18 @@ def _umask():
 
 
 def _atomic_write(path, pieces):
-    """Write text pieces to ``path`` as they come, through a temp file that
+    """Write byte pieces to ``path`` as they come, through a temp file that
     replaces it only once complete: a failure leaves the old file as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    f = tempfile.NamedTemporaryFile(dir=d, suffix=".tmp", delete=False)
     try:
-        try:
-            os.chmod(tmp, 0o666 & ~_umask())  # mkstemp's 0600 -> open()'s mode
-            f = os.fdopen(fd, "w", newline="")
-        except BaseException:
-            os.close(fd)
-            raise
         with f:
+            os.chmod(f.name, 0o666 & ~_umask())  # its 0600 -> open()'s mode
             f.writelines(pieces)
-        os.replace(tmp, path)
+        os.replace(f.name, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(f.name)
         raise
 
 
@@ -472,7 +466,7 @@ _CSV_MAX_WORKERS = 8  # each fork copies the parent's page tables
 
 
 def _csv_block(tr, lo):
-    """CSV lines of rows ``lo`` to ``lo + _CSV_BLOCK`` of a trace."""
+    """CSV lines, as bytes, of rows ``lo`` to ``lo + _CSV_BLOCK`` of a trace."""
     rows = slice(lo, lo + _CSV_BLOCK)
     masked = tr.spike_mask[rows].tolist()
     e = list(map(repr, tr.error[rows].tolist()))
@@ -483,7 +477,7 @@ def _csv_block(tr, lo):
     cols = (map(repr, tr.times[rows].tolist()), e, ae,
             map(repr, tr.derror[rows].tolist()), ls, als,
             ["1" if m else "0" for m in masked])
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+    return ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
 
 
 def _csv_workers(rows):
@@ -497,34 +491,31 @@ def _csv_workers(rows):
 
 def _format_part(tr, run, part):
     """In a forked child: write the CSV of the blocks starting at ``run`` to
-    the binary file ``part``, or else the pickled exception that stopped it
-    at the file's start, and leave by ``os._exit``: status 0, 1, or 2 for neither."""
-    status = 2
+    the binary file ``part`` and leave by ``os._exit``, with status 0 once
+    all of it is written and 1 otherwise."""
+    status = 1
     try:
         for lo in run:
-            part.write(_csv_block(tr, lo).encode())
+            part.write(_csv_block(tr, lo))
         part.flush()
         status = 0
-    except BaseException as e:
-        os.pwrite(part.fileno(), pickle.dumps(e), 0)
-        status = 1
     finally:
         os._exit(status)
 
 
 def _csv_blocks(tr, d):
-    """The trace CSV's header, then its rows in order.
+    """The trace CSV's header, then its rows in order, as bytes.
 
     The block starts are cut into ``_csv_workers`` contiguous runs.  One
     child is forked per run after the first, before any formatting, to write
-    its run to an unnamed temp file in directory ``d``.  This process yields
-    its own run, then each child's part in order once that child exited 0.
-    A child's exception is raised here; a child ended otherwise is a
-    ``ChildProcessError``.  Every child is killed and reaped when the
-    generator finishes, fails or is closed.  A forked child runs only
-    ``_csv_block``, which takes no lock another thread may hold at the fork.
+    its run to an unnamed temp file in directory ``d``.  This process walks
+    the runs in order, copying a child's part if that child exited 0 and
+    formatting the run itself otherwise, so every error raised is its own.
+    Every child is killed and reaped when the generator finishes, fails or
+    is closed.  A forked child runs only ``_csv_block``, which takes no lock
+    another thread may hold at the fork.
     """
-    yield "t,error,abs_error,derror,logsens,abs_logsens,spike_flag\n"
+    yield b"t,error,abs_error,derror,logsens,abs_logsens,spike_flag\n"
     starts = range(0, len(tr), _CSV_BLOCK)
     k = _csv_workers(len(tr))
     runs = [starts[len(starts) * i // k:len(starts) * (i + 1) // k] for i in range(k)]
@@ -537,20 +528,18 @@ def _csv_blocks(tr, d):
                 if pid == 0:
                     _format_part(tr, run, part)
                 children.append((pid, part))
-            for lo in runs[0]:
-                yield _csv_block(tr, lo)
-            while children:
-                pid, part = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                part.seek(0)
-                if code == 1:
-                    raise pickle.load(part)
-                if code:
-                    why = f"signal {-code}" if code < 0 else f"exit status {code}"
-                    raise ChildProcessError(f"CSV worker process {pid} ended by {why}")
-                while piece := part.read(1 << 20):  # 1 MiB at a time
-                    yield piece.decode()
+            for i, run in enumerate(runs):
+                if i:  # reap run i's child; copy its part if it exited 0
+                    pid, part = children[0]
+                    status = os.waitpid(pid, 0)[1]
+                    del children[0]
+                    if status == 0:
+                        part.seek(0)
+                        # 1 MiB at a time, none held here while the next is read
+                        yield from iter(lambda: part.read(1 << 20), b"")
+                        continue
+                for lo in run:  # this process's own run, or a failed child's
+                    yield _csv_block(tr, lo)
         finally:
             for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
@@ -691,7 +680,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     })
     write_trace_csv(os.path.join(out_dir, cfg.outputs["trace_csv"]), tr)
     _atomic_write(os.path.join(out_dir, cfg.outputs["report_json"]),
-                  (_dumps(report), "\n"))
+                  [(_dumps(report) + "\n").encode()])
     return report
 
 
@@ -766,7 +755,7 @@ def write_table1_csv(path, rows):
     for r in rows:
         val = "" if r["abs_logsens"] is None else repr(float(r["abs_logsens"]))
         lines.append(f'{r["fidelity"]!r},{val}\n')
-    _atomic_write(path, lines)
+    _atomic_write(path, ["".join(lines).encode()])
 
 
 # -- entry point ---------------------------------------------------------------
@@ -870,9 +859,6 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as e:
         print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
-        return 1
-    except ChildProcessError as e:  # an OSError, so caught first
-        print(f"worker process failed: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"cannot write output: {e}", file=sys.stderr)

@@ -25,11 +25,12 @@ pool; the tests check it against ``scipy.linalg.expm``.
 
 The matrix-valued ``dderiv_*`` functions are the reference API, checked
 against each other at single times by the acceptance suite.  Every value
-the program evaluates runs through ``sensan.trace``, which samples ``c @
-D_S(t, A) @ v`` on a grid; its modal path contracts the same partial
-fractions (``_fractions``), and of the oracles it calls only the
-quadrature, per step, as ``_quadrature``, which returns a missed tolerance
-instead of warning it.
+``run`` and ``check`` evaluate runs through ``sensan.trace``, which samples
+``c @ D_S(t, A) @ v`` on a grid; ``table1`` calls its modal path,
+``sensan._modal``, directly.  That path contracts the same partial fractions
+(``_fractions``); of the oracles ``trace`` calls only the quadrature, per
+step, as ``_quadrature``, which returns a missed tolerance instead of
+warning it.
 
 All functions are pure; no global state is mutated.
 """

@@ -443,7 +443,7 @@ class TestTraceCsvWriter:
 
     def test_memory_does_not_grow_with_rows(self, forks, tmp_path, monkeypatch):
         # the row-at-a-time writer peaked at 45 MiB here, this one at 0.4 MiB
-        # alone and 3.0 MiB with a child (its 1 MiB pieces)
+        # alone and 1.0 MiB with a child (one 1 MiB piece of its part)
         tr = awkward_trace(200_000)
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
@@ -455,8 +455,8 @@ class TestTraceCsvWriter:
         path.write_bytes(b"previous\n")
 
         def blocks():
-            yield "t,error\n"
-            yield "0.0,1.0\n" * 100_000  # past the buffer, onto disk
+            yield b"t,error\n"
+            yield b"0.0,1.0\n" * 100_000  # past the buffer, onto disk
             raise RuntimeError("block failed")
 
         with pytest.raises(RuntimeError, match="block failed"):
@@ -464,55 +464,70 @@ class TestTraceCsvWriter:
         assert path.read_bytes() == b"previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
-    def test_fdopen_failure_closes_descriptor(self, tmp_path, monkeypatch):
+    def test_chmod_failure_closes_and_removes_temp_file(self, tmp_path, monkeypatch):
         fds = []
-        mkstemp = tempfile.mkstemp
+        open_ = os.open
 
-        def recording_mkstemp(*args, **kwargs):
-            fd, name = mkstemp(*args, **kwargs)
-            fds.append(fd)
-            return fd, name
+        def recording_open(*args, **kwargs):
+            fds.append(open_(*args, **kwargs))
+            return fds[-1]
 
-        def failing_fdopen(*args, **kwargs):
-            raise OSError("no stream")
+        def failing_chmod(*args, **kwargs):
+            raise OSError("no chmod")
 
-        monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
-        monkeypatch.setattr(os, "fdopen", failing_fdopen)
-        with pytest.raises(OSError, match="no stream"):
-            _atomic_write(str(tmp_path / "x.csv"), ["a\n"])
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "chmod", failing_chmod)
+        with pytest.raises(OSError, match="no chmod"):
+            _atomic_write(str(tmp_path / "x.csv"), [b"a\n"])
         monkeypatch.undo()
+        assert len(fds) == 1
         with pytest.raises(OSError):
             os.fstat(fds[0])
         assert list(tmp_path.iterdir()) == []
 
 
 class TestWorkerProcesses:
-    """No forked child outlives a write, and a failure in a child or in the
-    file keeps the previous file and leaves no temp file."""
+    """A forked child only saves time: the run of a child that did not exit
+    0 is formatted here, with the same bytes.  No child outlives a write, and
+    a failure here or in the file keeps the previous file and leaves no
+    temp file."""
+
+    # 50001 rows: 49 blocks, blocks 24 to 48 in the child's run
+    LONG = {"kind": "spring_mass", "grid": {"t_end": 50.0, "dt": 1e-3}}
 
     @pytest.fixture
     def out(self, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, 2)
+        (tmp_path / "cfg.json").write_text(json.dumps(self.LONG))
         (tmp_path / "trace.csv").write_bytes(b"previous\n")
         return tmp_path
 
     def run_long(self, out):
-        # 50001 rows: 49 blocks
-        cfg = out / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "spring_mass",
-                                   "grid": {"t_end": 50.0, "dt": 1e-3}}))
-        return main(["run", str(cfg), "--out-dir", str(out)])
+        return main(["run", str(out / "cfg.json"), "--out-dir", str(out)])
 
-    def fail_in_worker(self, monkeypatch, fail):
-        parent, block = os.getpid(), cli._csv_block
+    def fail_at_block_40(self, monkeypatch, fail, child_only):
+        """Make ``fail()`` at block 40, in the child only or wherever that
+        block is formatted; return the numbers of the blocks this process formats."""
+        parent, block, formatted = os.getpid(), cli._csv_block, []
 
         def failing(tr, lo):
-            if lo == 40 * _CSV_BLOCK:  # in the child's run, blocks 24 to 48
-                assert os.getpid() != parent, "block formatted in the parent"
+            here = os.getpid() == parent
+            if here:
+                formatted.append(lo // _CSV_BLOCK)
+            if lo == 40 * _CSV_BLOCK and not (here and child_only):
                 fail()
             return block(tr, lo)
 
         monkeypatch.setattr(cli, "_csv_block", failing)
+        return formatted
+
+    @staticmethod
+    def exhausted():
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    def unfailed_bytes(self):
+        cfg = validate_config(self.LONG)
+        return reference_csv(trace(build_system(cfg)[0], cfg.grid_times()))
 
     def test_none_after_write(self, out, forks, capsys):
         assert self.run_long(out) == 0
@@ -522,11 +537,11 @@ class TestWorkerProcesses:
             "cfg.json", "report.json", "trace.csv"]
 
     def test_failed_writelines(self, out, forks, monkeypatch):
-        fdopen = os.fdopen
+        named = tempfile.NamedTemporaryFile
 
         class FullDisk:
             def __init__(self, f):
-                self.f = f
+                self.f, self.name = f, f.name
 
             def __enter__(self):
                 return self
@@ -540,7 +555,8 @@ class TestWorkerProcesses:
                         raise OSError(errno.ENOSPC, "No space left on device")
                     self.f.write(piece)
 
-        monkeypatch.setattr(os, "fdopen", lambda *a, **k: FullDisk(fdopen(*a, **k)))
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile",
+                            lambda *a, **k: FullDisk(named(*a, **k)))
         with pytest.raises(OSError, match="No space") as failed:
             write_trace_csv(str(out / "trace.csv"), awkward_trace(40 * _CSV_BLOCK))
         # the traceback, which holds the block stream, is still alive here
@@ -548,27 +564,30 @@ class TestWorkerProcesses:
         assert_no_children()
         assert len(forks) == 1
         assert (out / "trace.csv").read_bytes() == b"previous\n"
-        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
 
-    def test_worker_out_of_memory_is_1(self, out, forks, monkeypatch, capsys):
-        def exhausted():
-            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+    @pytest.mark.parametrize("fail", ["killed", "out_of_memory"])
+    def test_failed_child_run_formatted_here(self, fail, out, forks, monkeypatch,
+                                             capsys):
+        formatted = self.fail_at_block_40(monkeypatch, {
+            "killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+            "out_of_memory": self.exhausted}[fail], child_only=True)
+        assert self.run_long(out) == 0
+        assert capsys.readouterr().err == ""
+        assert formatted == list(range(49))  # the child's run too
+        assert (out / "trace.csv").read_bytes() == self.unfailed_bytes()
+        assert_no_children()
+        assert len(forks) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cfg.json", "report.json", "trace.csv"]
 
-        self.fail_in_worker(monkeypatch, exhausted)
+    def test_out_of_memory_wherever_formatted_is_1(self, out, forks, monkeypatch,
+                                                   capsys):
+        formatted = self.fail_at_block_40(monkeypatch, self.exhausted, child_only=False)
         assert self.run_long(out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("out of memory: Unable")
-        assert_no_children()
-        assert len(forks) == 1
-        assert (out / "trace.csv").read_bytes() == b"previous\n"
-        assert sorted(p.name for p in out.iterdir()) == ["cfg.json", "trace.csv"]
-
-    def test_killed_worker_is_1(self, out, forks, monkeypatch, capsys):
-        self.fail_in_worker(monkeypatch,
-                            lambda: os.kill(os.getpid(), signal.SIGKILL))
-        assert self.run_long(out) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("worker process failed: ")
+        assert formatted == list(range(41))  # the child failed, then this process
         assert_no_children()
         assert len(forks) == 1
         assert (out / "trace.csv").read_bytes() == b"previous\n"
@@ -610,6 +629,32 @@ class TestOutputFiles:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("outputs", [
+        {"trace_csv": "x", "report_json": "x/r.json"},
+        {"trace_csv": "x/t.csv", "report_json": "x"},
+        {"trace_csv": "x/./y", "report_json": "x/y/../y/z/r.json"},
+    ], ids=["report_inside_trace", "trace_inside_report", "normalized"])
+    def test_nested_names_are_2(self, command, outputs, tmp_path, capsys):
+        # refused before any work, so nothing is written in either order
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0},
+                                   "outputs": outputs}))
+        out = tmp_path / "out"
+        argv = [command, str(cfg)] + (["--out-dir", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: outputs.report_json: names the same file as "
+            "outputs.trace_csv, or one lies inside the other\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_sibling_names_with_a_common_prefix_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0},
+                                   "outputs": {"trace_csv": "x", "report_json": "xy"}}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x", "xy"]
 
 
 class TestNearDefective:
@@ -1228,7 +1273,7 @@ class TestMainExitCodes:
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
         def exhausted_after_header(tr, d):
-            yield "t,error\n"
+            yield b"t,error\n"
             exhausted()
 
         monkeypatch.setattr(cli, where, {"trace": exhausted,
@@ -1270,6 +1315,14 @@ class TestMainExitCodes:
         assert rc == 0
         rows = (tmp_path / "trace.csv").read_text().strip().split("\n")
         assert len(rows) == 52  # header + 51 samples
+
+    @pytest.mark.parametrize("grid, times", [
+        ("0:1:0.6", ["0.0", "0.6"]), ("0:1:0.5", ["0.0", "0.5", "1.0"])])
+    def test_no_time_past_t_end(self, grid, times, tmp_path):
+        cfg = self.write(tmp_path, {"kind": "spring_mass"})
+        assert main(["run", cfg, "--out-dir", str(tmp_path), "--grid", grid]) == 0
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == times
 
     def test_grid_override_echoed(self, tmp_path):
         cfg = self.write(tmp_path, {"kind": "spring_mass", "grid": {"t_end": 9.0}})

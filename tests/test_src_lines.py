@@ -54,7 +54,9 @@ def test_forked_children_lines_count_as_run(tmp_path):
         "                    SensitivityTrace(t, t, t, t, t < 0))\n")
     never, _ = never_run(str(script))
     child = {line_of(cli._format_part, text)
-             for text in ("part.write(", "status = 0", "os._exit(")}
+             for text in ("part.write(", "part.flush(", "status = 0", "os._exit(")}
     assert not never & child
-    assert line_of(cli._format_part, "os.pwrite(") in never  # no child failed
+    # the child exited 0: this process copied its part, and none was left to kill
+    assert line_of(cli._csv_blocks, "yield from iter(") not in never
+    assert line_of(cli._csv_blocks, "os.kill(") in never
     assert (tmp_path / "trace.csv").stat().st_size > 0
