@@ -15,18 +15,21 @@ error (so are a usage error, a non-finite number or a bool where a number
 belongs, a config a scenario builder refuses, a grid over ``MAX_GRID_ROWS``
 samples or with merging times, a chain over ``MAX_CHAIN_SITES`` sites, output
 names that are empty, end in a separator, name one file twice or one inside
-the other, a non-finite ``table1 --targets`` value).
-Output locations honor ``LOGSENS_OUT_DIR`` when no explicit out-dir is
-given.  For a fixed config the outputs are byte-identical across runs on
-one numpy/BLAS build and BLAS thread count: no timestamps, sorted
-report keys, shortest round-trip floats.
+the other, as given or once joined with the out-dir and resolved, a
+non-finite ``table1 --targets`` value).  Output locations honor
+``LOGSENS_OUT_DIR`` when no explicit out-dir is given.  ``main`` may be
+called repeatedly in one process; it builds its parser on the first call.
+For a fixed config the outputs are byte-identical across runs on one
+numpy/BLAS build and BLAS thread count: no timestamps, sorted report keys,
+shortest round-trip floats.
 The trace CSV is formatted column-wise in fixed-size blocks of rows, each
 written as it is made, so the writer's memory does not grow with the grid.
 A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is cut into one
 contiguous run of blocks per usable CPU: this process formats the first
-while a forked child formats each other run into a temp file.  Then, in row
-order, it copies the part of each child that exited 0 and formats any other
-run itself, so the bytes depend on neither the CPU count nor a child's fate.
+while a forked child formats each other run into a temp file, until a fork
+fails.  Then, in row order, it copies the part of each child that exited 0
+and formats any other run itself, so the bytes depend on neither the CPU
+count nor a child's fate.
 Outputs get the mode a plain ``open()`` would give them.
 """
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -340,15 +344,20 @@ def _read_config(raw) -> ScenarioConfig:
     for key, name in outputs.items():
         if os.path.basename(name) in ("", ".", ".."):
             raise ConfigError(f"outputs.{key}", f"{name!r} does not name a file")
-    trace_csv, report_json = (os.path.normpath(name) + os.sep for name in outputs.values())
-    if trace_csv.startswith(report_json) or report_json.startswith(trace_csv):
-        raise ConfigError("outputs.report_json", "names the same file as "
-                          "outputs.trace_csv, or one lies inside the other")
+    _refuse_overlap(outputs.values())
     seed = _number(raw.get("seed"), "seed", 0, int)
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
     return ScenarioConfig(kind=kind, parameters=params, grid=grid, method=method,
                           outputs=outputs, seed=seed)
+
+
+def _refuse_overlap(names):
+    """Refuse output names that, normalized, name one file or one inside the other."""
+    trace_csv, report_json = (os.path.normpath(name) + os.sep for name in names)
+    if trace_csv.startswith(report_json) or report_json.startswith(trace_csv):
+        raise ConfigError("outputs.report_json", "names the same file as "
+                          "outputs.trace_csv, or one lies inside the other")
 
 
 def _refuse_merging_step(path, step, t_start, t_end):
@@ -437,13 +446,6 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _umask():
-    """The process umask, read by setting it and back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path, pieces):
     """Write byte pieces to ``path`` as they come, through a temp file that
     replaces it only once complete: a failure leaves the old file as it was."""
@@ -452,7 +454,9 @@ def _atomic_write(path, pieces):
     f = tempfile.NamedTemporaryFile(dir=d, suffix=".tmp", delete=False)
     try:
         with f:
-            os.chmod(f.name, 0o666 & ~_umask())  # its 0600 -> open()'s mode
+            mask = os.umask(0)  # the umask, read by setting it and back
+            os.umask(mask)
+            os.chmod(f.name, 0o666 & ~mask)  # its 0600 -> open()'s mode
             f.writelines(pieces)
         os.replace(f.name, path)
     except BaseException:
@@ -506,11 +510,11 @@ def _format_part(tr, run, part):
 def _csv_blocks(tr, d):
     """The trace CSV's header, then its rows in order, as bytes.
 
-    The block starts are cut into ``_csv_workers`` contiguous runs.  One
-    child is forked per run after the first, before any formatting, to write
-    its run to an unnamed temp file in directory ``d``.  This process walks
-    the runs in order, copying a child's part if that child exited 0 and
-    formatting the run itself otherwise, so every error raised is its own.
+    The block starts are cut into ``_csv_workers`` contiguous runs.  Before
+    any formatting, a child per run after the first (until a fork fails)
+    writes its run to an unnamed temp file in directory ``d``.  This process
+    walks the runs in order, copying a child's part if that child exited 0
+    and formatting the run itself otherwise, so every error raised is its own.
     Every child is killed and reaped when the generator finishes, fails or
     is closed.  A forked child runs only ``_csv_block``, which takes no lock
     another thread may hold at the fork.
@@ -524,12 +528,16 @@ def _csv_blocks(tr, d):
         try:
             for run in runs[1:]:
                 part = parts.enter_context(tempfile.TemporaryFile(dir=d))
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:  # no child: this run and the later ones are formatted here
+                    part.close()
+                    break
                 if pid == 0:
                     _format_part(tr, run, part)
                 children.append((pid, part))
             for i, run in enumerate(runs):
-                if i:  # reap run i's child; copy its part if it exited 0
+                if i and children:  # reap run i's child, if any; copy its part if it exited 0
                     pid, part = children[0]
                     status = os.waitpid(pid, 0)[1]
                     del children[0]
@@ -629,7 +637,9 @@ def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig) -> dict:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     """Run one configured scenario, write its trace and report files, and
-    return the report as the plain dict written to ``report.json``."""
+    return the report as the plain dict written to ``report.json``.  Output
+    names that overlap once joined with ``out_dir`` are refused first."""
+    _refuse_overlap(os.path.realpath(os.path.join(out_dir, n)) for n in cfg.outputs.values())
     sys_, coupling_vec, notes = build_system(cfg)
     times = cfg.grid_times()
     tr = _finite(trace(sys_, times, method=cfg.method), f"{cfg.method} trace")
@@ -781,10 +791,6 @@ def _load_config(path, grid_override=None, method_override=None, read=validate_c
     return read(raw)
 
 
-def _default_out_dir(explicit):
-    return explicit or os.environ.get("LOGSENS_OUT_DIR", ".")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are ``ConfigError``s: one line, exit 2 (``-h`` exits 0)."""
 
@@ -792,8 +798,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(self.prog, message)
 
 
-@np.errstate(over="raise", invalid="raise")  # one FloatingPointError, not warnings
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """``main``'s parser, built on its first call and reused by every later one."""
     parser = _Parser(
         prog="logsens",
         description="Time-domain log-sensitivity analysis of error signals.")
@@ -814,12 +821,17 @@ def main(argv=None) -> int:
     p_tab.add_argument("--chain", required=True, choices=tuple(TABLE1_DEFAULT_TARGETS))
     p_tab.add_argument("--targets", type=float, nargs="*", default=None)
     p_tab.add_argument("--out-dir", default=None)
+    return parser
 
+
+@np.errstate(over="raise", invalid="raise")  # one FloatingPointError, not warnings
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        out_dir = getattr(args, "out_dir", None) or os.environ.get("LOGSENS_OUT_DIR", ".")
         if args.command == "run":
             cfg = _load_config(args.config, args.grid, args.method)
-            report = run_scenario(cfg, _default_out_dir(args.out_dir))
+            report = run_scenario(cfg, out_dir)
             kind = report["classification"]["kind"]
             print(f"classification: {kind}")
             if kind == "Inconclusive":
@@ -841,8 +853,7 @@ def main(argv=None) -> int:
             if bad:
                 raise ConfigError("--targets", f"a fidelity must be finite, got {bad[0]!r}")
             rows = table1_repro(args.chain, args.targets)
-            out = os.path.join(_default_out_dir(args.out_dir),
-                               f"table1_{args.chain}.csv")
+            out = os.path.join(out_dir, f"table1_{args.chain}.csv")
             write_table1_csv(out, rows)
             for r in rows:
                 flag = f"  [{r['flag']}]" if r["flag"] else ""

@@ -26,6 +26,7 @@ from .matexp import (
     DEFAULT_CLUSTER_TOL,
     Couplings,
     Spectrum,
+    _blocks,
     _fd_generator,
     _fd_step,
     _fractions,
@@ -103,12 +104,9 @@ class ErrorSystem:
             raise ValueError(
                 f"A0 must be marginally stable (max Re eig = {np.max(lam.real):.3e})"
             )
-        object.__setattr__(self, "_spectrum", spec)
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "xi0", float(self.xi0))
+        for name, x in (("_spectrum", spec), ("A0", A0), ("S", S), ("c", c), ("v", v),
+                        ("xi0", float(self.xi0))):
+            object.__setattr__(self, name, x)
 
     @property
     def n(self) -> int:
@@ -305,15 +303,15 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
     else:
         c, v, A0, S = sys.c, sys.v, sys.A0, sys.S
         z, Z = np.zeros_like(v), np.zeros_like(A0)
-        readout = np.block([[z, c], [c, z]])  # e from the lower half, de/dxi upper
+        readout = _blocks([[z, c], [c, z]])  # e from the lower half, de/dxi upper
     if method == "blockaug":
-        G = np.block([[A0, S], [Z, A0]])
+        G = _blocks([[A0, S], [Z, A0]])
         error, derror = _stepped(lambda d: expm(d * G), np.r_[z, v], readout, times)
     elif method == "fd":
         h = _fd_step(S)
         G = _fd_generator(A0, S, h)
         error, diff = _stepped(lambda d: expm(d * G), np.r_[z, z, v],
-                               np.block([[z, z, c], [c, c, z]]), times)
+                               _blocks([[z, z, c], [c, c, z]]), times)
         derror = diff / (2.0 * h)
     elif method == "quadrature":
         missed = {}
@@ -323,7 +321,7 @@ def trace(sys: ErrorSystem, grid, method: str = "analytic",
             if miss is not None:
                 missed[d] = miss.achieved
             P = expm(d * A0)
-            return np.block([[P, Q], [Z, P]])
+            return _blocks([[P, Q], [Z, P]])
 
         error, derror = _stepped(step, np.r_[z, v], readout, times)
         if missed:

@@ -581,6 +581,33 @@ class TestWorkerProcesses:
         assert sorted(p.name for p in out.iterdir()) == [
             "cfg.json", "report.json", "trace.csv"]
 
+    @pytest.mark.parametrize("cpus, failing, here", [
+        (2, 1, range(49)),  # no child: this process formats all 49 blocks
+        (3, 2, [*range(16), *range(32, 49)]),  # the child formats blocks 16-31
+    ], ids=["first_of_1", "second_of_2"])
+    def test_failed_fork_run_formatted_here(self, cpus, failing, here, out, forks,
+                                            monkeypatch, capsys):
+        usable_cpus(monkeypatch, cpus)
+        spy, calls = os.fork, []
+
+        def fork():
+            calls.append(len(calls) + 1)
+            if calls[-1] == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return spy()
+
+        monkeypatch.setattr(os, "fork", fork)
+        formatted = self.fail_at_block_40(monkeypatch, lambda: None, child_only=True)
+        assert self.run_long(out) == 0
+        assert capsys.readouterr().err == ""
+        assert calls == list(range(1, failing + 1))  # no fork after the failed one
+        assert formatted == list(here)
+        assert (out / "trace.csv").read_bytes() == self.unfailed_bytes()
+        assert_no_children()
+        assert len(forks) == failing - 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cfg.json", "report.json", "trace.csv"]
+
     def test_out_of_memory_wherever_formatted_is_1(self, out, forks, monkeypatch,
                                                    capsys):
         formatted = self.fail_at_block_40(monkeypatch, self.exhausted, child_only=False)
@@ -655,6 +682,56 @@ class TestOutputFiles:
                                    "outputs": {"trace_csv": "x", "report_json": "xy"}}))
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x", "xy"]
+
+    OVERLAP = ("config error: outputs.report_json: names the same file as "
+               "outputs.trace_csv, or one lies inside the other\n")
+
+    @pytest.mark.parametrize("out_dir", ["absolute", "relative", "env"])
+    @pytest.mark.parametrize("names", [
+        ("<out>/x", "x"), ("x", "<out>/x"), ("<out>/x", "x/r.json"),
+        ("<out>/sub/../x", "./x"),
+    ], ids=["trace_absolute", "report_absolute", "report_inside_trace", "normalized"])
+    def test_names_overlapping_in_the_out_dir_are_2(self, out_dir, names, tmp_path,
+                                                    capsys, monkeypatch):
+        # one name absolute, the other relative to the out-dir: refused by
+        # ``run`` before any work, so nothing is written
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "spring_mass", "grid": {"t_end": 5.0},
+            "outputs": {key: name.replace("<out>", str(out)) for key, name
+                        in zip(("trace_csv", "report_json"), names)}}))
+        argv = ["run", str(cfg)]
+        if out_dir == "env":
+            monkeypatch.setenv("LOGSENS_OUT_DIR", str(out))
+        else:
+            argv += ["--out-dir", str(out) if out_dir == "absolute" else "out"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == self.OVERLAP
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_names_overlapping_through_a_symlink_are_2(self, tmp_path, capsys):
+        # the out-dir is a link to the directory the absolute name is in
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "spring_mass", "grid": {"t_end": 5.0},
+            "outputs": {"trace_csv": str(tmp_path / "real" / "x"), "report_json": "x"}}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "link")]) == 2
+        assert capsys.readouterr().err == self.OVERLAP
+        assert list((tmp_path / "real").iterdir()) == []
+
+    def test_siblings_across_the_out_dir_run(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "spring_mass", "grid": {"t_end": 5.0},
+            "outputs": {"trace_csv": str(out / "x"), "report_json": "xy"}}))
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["x", "xy"]
+        assert (out / "x").read_bytes().startswith(b"t,error,")
 
 
 class TestNearDefective:
@@ -1388,6 +1465,43 @@ class TestMainExitCodes:
             main(["run", "-h"])
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: logsens run")
+
+
+class TestRepeatedMain:
+    """``main`` called many times in one process builds its parser once,
+    and no call sees another's arguments or outputs."""
+
+    def test_calls_in_one_process(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0}}))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", str(cfg), "--out-dir", str(first)]) == 0
+        built, init = [], cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        capsys.readouterr()
+        assert main(["check", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_deviation"] > 0
+        table = tmp_path / "table1_n2.csv"
+        assert main(["table1", "--chain", "n2", "--targets", "0.9",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert table.read_text().count("\n") == 2
+        assert main(["table1", "--chain", "n2", "--out-dir", str(tmp_path)]) == 0
+        assert table.read_text().count("\n") == 1 + len(TABLE1_DEFAULT_TARGETS["n2"])
+        capsys.readouterr()
+        assert main(["run"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: logsens run: the following arguments are required: config\n")
+        assert main(["check", str(cfg), "--samples", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --samples: ")
+        assert main(["run", str(cfg), "--out-dir", str(again)]) == 0
+        for name in ("trace.csv", "report.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert built == []
 
 
 class TestOneLineFailures:

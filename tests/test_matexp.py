@@ -849,6 +849,34 @@ def assert_close_to_scipy(X, A, bound=4000):
     assert norm1(X - R) <= bound * U * (1.0 + norm1(A)) * norm1(R)
 
 
+class TestBlockMatrices:
+    """The oracles' block matrices hold the values of their ``np.block``
+    spelling, bit for bit, signed zeros included."""
+
+    @settings(max_examples=50)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           t=st.floats(0.0, 10.0), signed_zero=st.booleans())
+    @example(n=2, seed=0, t=1.0, signed_zero=True)
+    def test_same_as_np_block(self, n, seed, t, signed_zero):
+        rng = np.random.default_rng(seed)
+        A, S = rng.standard_normal((2, n, n))
+        c = rng.standard_normal(n)
+        if signed_zero:
+            A[-1, 0] = S[0, -1] = c[0] = -0.0
+        Z, z, h = np.zeros_like(A), np.zeros_like(c), matexp._fd_step(S)
+        for got, want in [
+            (matexp._fd_generator(A, S, h),
+             np.block([[A + h * S, Z, h * S], [Z, A - h * S, h * S], [Z, Z, A]])),
+            (dderiv_oracle_blockaug(A, S, t),
+             matexp.expm(t * np.block([[A, S], [Z, A]]))[:n, n:]),
+            # the readouts of ``sensan.trace``'s stepped oracles
+            (matexp._blocks([[z, c], [c, z]]), np.block([[z, c], [c, z]])),
+            (matexp._blocks([[z, z, c], [c, c, z]]), np.block([[z, z, c], [c, c, z]])),
+        ]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
 kinds = st.sampled_from(["dense", "jordan", "diagonal", "zero"])
 
 

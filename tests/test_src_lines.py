@@ -34,9 +34,12 @@ def line_of(func, text):
 def test_tiny_digests_run_main():
     never, listed = never_run(os.path.join(ROOT, "tools", "op_digests.py"), "--tiny", "1")
     assert listed and all(re.fullmatch(r"src/logsens/\w+\.py:\d+", line) for line in listed)
-    # every tiny op builds the parser and parses its argv; none is refused
+    # every tiny op parses its argv, the first with the parser it builds; none
+    # is refused
     start = inspect.getsourcelines(cli.main)[1]
     assert not never & set(range(start + 1, line_of(cli.main, "parse_args") + 1))
+    source, start = inspect.getsourcelines(cli._parser)
+    assert not never & set(range(start, start + len(source)))
     assert line_of(cli.main, 'ConfigError("--samples"') in never
 
 
