@@ -359,14 +359,15 @@ def _step_groups(times):
 
 def _stepped(step, x0, R, times):
     """Rows of ``R @ x(t)`` on an increasing grid, with ``x(0) = x0`` and
-    ``x(t + d) = step(d) @ x(t)``: one full step operator per step value
-    (2 on the default CLI grids, one per sample at worst).  Every other
-    spelling ``d`` of a value ``b`` (``_step_groups``) steps by ``step(d -
-    b) @ step(b)``, exact by the semigroup property; the remainder ``d -
-    b`` is exact (Sterbenz) and near zero.  An operator is dropped after its
-    last use, a base after its group's last sample, so memory is O(T + n^2)
-    per operator in use.  Rounding accumulates to ~2e-12 of column max in
-    5e3 steps, 2e-11 in 5e5."""
+    ``x(t + d) = step(d) @ x(t)``: one full step operator per step value (2 on
+    the default CLI grids, one per sample at worst).  Every other spelling
+    ``d`` of a value ``b`` (``_step_groups``) steps by ``step(d - b) @
+    step(b)``, exact by the semigroup property; the remainder ``d - b`` is
+    exact (Sterbenz) and near zero.  A reused buffer of ``_BLOCK`` states is
+    read out by one stacked ``matmul``, an ``R @ x`` dgemv per state (a gemm
+    ``X @ R.T`` moves bits).  Operators are dropped after their last use, a
+    base after its group's: memory O(T + _BLOCK len(x0) + n^2 per live
+    operator).  Rounding: ~2e-12 of column max in 5e3 steps, 2e-11 in 5e5."""
     uniq, keys, base = _step_groups(times)
     last, drop = {}, [()] * len(keys)
     for i, k in enumerate(keys):
@@ -374,17 +375,20 @@ def _stepped(step, x0, R, times):
     for k, i in last.items():
         drop[i] += (k,)
     out, ops, x = np.empty((len(times), len(R))), {}, x0
-    for i, k in enumerate(keys):
-        P = ops.get(k)
-        if P is None:
-            b = base[k]
-            if b not in ops:
-                ops[b] = step(uniq[b])
-            P = ops[k] = ops[b] if b == k else step(uniq[k] - uniq[b]) @ ops[b]
-        x = P.dot(x)  # ndarray.dot: the dgemv of ``@`` at half its dispatch cost
-        R.dot(x, out=out[i])
-        for j in drop[i]:
-            del ops[j]
+    X = np.empty((min(len(out), _BLOCK), len(x0)))  # one block of states
+    rows = list(X)  # its row views, cheaper to pass than ``X[i - lo]``
+    for lo in range(0, len(out), _BLOCK):
+        for i, k, row in zip(range(lo, len(out)), keys[lo:lo + _BLOCK], rows):
+            P = ops.get(k)
+            if P is None:
+                b = base[k]
+                if b not in ops:
+                    ops[b] = step(uniq[b])
+                P = ops[k] = ops[b] if b == k else step(uniq[k] - uniq[b]) @ ops[b]
+            x = P.dot(x, out=row)  # the dgemv of ``@`` at half its dispatch cost
+            for j in drop[i]:
+                del ops[j]
+        np.matmul(R, X[:i + 1 - lo, :, None], out=out[lo:i + 1, :, None])
     return out.T
 
 

@@ -907,39 +907,72 @@ class TestOracleTraces:
 
     def test_base_dropped_after_its_group(self):
         # 0.1 is spelled several ways over samples 0..29, then 1.0 steps
-        # follow: the operator of the smallest 0.1 lives exactly that long
+        # follow: the operator of the smallest 0.1 lives exactly that long,
+        # as seen from each sample's own state product
         import weakref
 
         import logsens.sensan as sensan
         A = np.array([[-0.5, 1.0], [-1.0, -0.5]])
-        refs = {}
+        refs, alive = {}, []
+
+        class Operator(np.ndarray):
+            def dot(self, x, out=None):
+                (base,) = [r for d, r in refs.items() if 0.05 < d < 0.5]
+                alive.append(base() is not None)
+                return super().dot(x, out=out)
 
         def step(d):
-            P = expm(d * A)
+            P = expm(d * A).view(Operator)
             refs[d] = weakref.ref(P)
             return P
 
-        class Probe:
-            def __init__(self):
-                self.alive = []
-
-            def __len__(self):
-                return 1
-
-            def dot(self, x, out=None):
-                (base,) = [r for d, r in refs.items() if 0.05 < d < 0.5]
-                self.alive.append(base() is not None)
-                return x[:1]
-
         times = np.r_[np.linspace(0.0, 3.0, 31)[1:], 3.0 + np.arange(1, 6)]
         assert len(np.unique(np.diff(times, prepend=0.0))) > 3
-        probe = Probe()
-        sensan._stepped(step, np.ones(2), probe, times)
-        assert probe.alive == [True] * 30 + [False] * 5
+        sensan._stepped(step, np.ones(2), np.ones((1, 2)), times)
+        assert alive == [True] * 30 + [False] * 5
 
-    # a 0.01-step grid spells its step several ways; an integer step is exact
+    def test_stepped_memory_is_output_plus_one_block(self, monkeypatch):
+        # from its first operator on, a 2e5-sample blockaug trace holds the
+        # (T, 2) output, one pointer per sample in each of the step-key and
+        # drop lists, and one block of states with a view of each; keeping
+        # every state of the grid would add 8 len(x0) bytes per sample.  The
+        # peak is reset at the first operator, after ``_step_groups`` has
+        # freed its sort
+        import tracemalloc
+
+        import logsens.sensan as sensan
+        stepped, seen = sensan._stepped, {}
+
+        def measured(step, x0, R, times):
+            def step_from_reset(d):
+                if not seen:
+                    tracemalloc.reset_peak()
+                    seen["state"] = len(x0)
+                return step(d)
+
+            tracemalloc.start()
+            try:
+                out = stepped(step_from_reset, x0, R, times)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(sensan, "_stepped", measured)
+        sys, _ = cli_system("rlc")
+        T = 200_000
+        trace(sys, 0.01 * np.arange(T), method="blockaug")
+        block = sensan._BLOCK * (4 * 8 * seen["state"] + 256)
+        assert seen["peak"] <= T * 2 * 8 + 2 * T * 8 + block + 2**16
+
+    # a 0.01-step grid spells its step several ways; an integer step is
+    # exact.  1024 samples fill one readout block of ``sensan._BLOCK``, 1025
+    # leave one sample in a second, and 2049 leave a partial third
     STEPPED_GRIDS = {
         "dt_0.01": 0.01 * np.arange(1001),
+        "dt_0.01_1024": 0.01 * np.arange(1024),
+        "dt_0.01_1025": 0.01 * np.arange(1025),
+        "dt_0.01_2049": 0.01 * np.arange(2049),
         "random": np.unique(np.random.default_rng(5).uniform(0.0, 50.0, 5)),
         "integer_step": np.arange(0.0, 201.0),
     }
@@ -948,14 +981,31 @@ class TestOracleTraces:
     @pytest.mark.parametrize("method", ["blockaug", "fd", "quadrature"])
     @pytest.mark.parametrize("kind", ["rlc", "spin_chain"])
     def test_stepped_equals_matmul_loop(self, monkeypatch, kind, method, grid):
-        # ``ndarray.dot`` and ``@`` run the same dgemv: the oracle traces
-        # keep every bit of the ``@`` loop they replaced.  On spin_chain a
+        # ``ndarray.dot`` and ``@`` run the same dgemv, and so does each
+        # state of the stacked ``matmul`` readout: the oracle traces keep
+        # every bit of the ``@`` loop they replaced.  On spin_chain a
         # readout of all states by one ``X @ R.T`` moves the last bits
         import logsens.sensan as sensan
         sys, _ = cli_system(kind)
         times = self.STEPPED_GRIDS[grid]
-        uniq, _, base = sensan._step_groups(times)
-        assert (len(uniq) > len(set(base))) == (grid == "dt_0.01")  # spellings
+        uniq, keys, base = sensan._step_groups(times)
+        assert (len(uniq) > len(set(base))) == grid.startswith("dt_0.01")
+        if len(times) > 2 * sensan._BLOCK:  # a spelling recurs in every block
+            assert set.intersection(*(
+                {k for k in keys[lo:lo + sensan._BLOCK] if base[k] != k}
+                for lo in range(0, len(keys), sensan._BLOCK)))
+        self.assert_stepped_bytes(monkeypatch, sys, times, method)
+
+    def test_stepped_equals_matmul_loop_spin_chain_N10(self, monkeypatch):
+        # state size 200, the largest the benchmark steps, over three blocks
+        _, sys = spin_chain_scenario(10)
+        assert len(sys.v) == 100
+        times = self.STEPPED_GRIDS["dt_0.01_2049"]
+        self.assert_stepped_bytes(monkeypatch, sys, times, "blockaug")
+
+    @staticmethod
+    def assert_stepped_bytes(monkeypatch, sys, times, method):
+        import logsens.sensan as sensan
         got = trace(sys, times, method=method)
         monkeypatch.setattr(sensan, "_stepped", matmul_stepped)
         want = trace(sys, times, method=method)
