@@ -9,7 +9,8 @@ Subcommands
                     perfect-transfer chains
 
 Exit codes: 0 success (including Inconclusive classifications), 1 numerical
-failure (a non-finite trace value or any overflow included), out of memory or
+failure (a non-finite trace value, any overflow, and an analytic trace its
+own spot check disowns by more than ``SPOT_BOUND`` included), out of memory or
 an output that cannot be written (each with one line on stderr), 2 config
 error (so are a usage error, a non-finite number or a bool where a number
 belongs, a config a scenario builder refuses, a grid over ``MAX_GRID_ROWS``
@@ -22,8 +23,11 @@ called repeatedly in one process; it builds its parser on the first call.
 For a fixed config the outputs are byte-identical across runs on one
 numpy/BLAS build and BLAS thread count: no timestamps, sorted report keys,
 shortest round-trip floats.
-The trace CSV is formatted column-wise in fixed-size blocks of rows, each
-written as it is made, so the writer's memory does not grow with the grid.
+The trace CSV is formatted in fixed-size blocks of rows, each written as it
+is made, so the writer's memory does not grow with the grid.  A block's
+floats are spelled byte for byte as ``repr`` spells them, all at once in
+numpy (``_floatrepr``: Ryu's digits, then a layout table), and its rows are
+laid out in one NUL-padded byte array.
 A trace of ``_CSV_POOL_ROWS`` rows (32 blocks) or more is cut into one
 contiguous run of blocks per usable CPU: this process formats the first
 while a forked child formats each other run into a temp file, until a fork
@@ -49,12 +53,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _floatrepr
 from .classical import RLC_LAMBDA3_DEFAULT, close_loop, rlc_scenario, spring_mass_scenario
 from .matexp import couplings
 from .quantum import TWO_QUBIT_PERTURBATIONS, spin_chain_scenario, two_qubit_scenario
 from .sensan import (
     DERIVATIVE_METHODS,
+    DivergenceClassification,
     ErrorSystem,
     _modal,
     classify,
@@ -470,18 +475,29 @@ _CSV_MAX_WORKERS = 8  # each fork copies the parent's page tables
 
 
 def _csv_block(tr, lo):
-    """CSV lines, as bytes, of rows ``lo`` to ``lo + _CSV_BLOCK`` of a trace."""
+    """CSV lines, as bytes, of rows ``lo`` to ``lo + _CSV_BLOCK`` of a trace.
+
+    Each row is laid out in a NUL-padded line of six ``_floatrepr`` fields,
+    separators, flag and newline; dropping the NULs leaves the CSV.  An abs
+    field is its signed field without the sign byte: ``repr(abs(x)) ==
+    repr(x).lstrip("-")`` for every double, -0.0 and nan too."""
     rows = slice(lo, lo + _CSV_BLOCK)
-    masked = tr.spike_mask[rows].tolist()
-    e = list(map(repr, tr.error[rows].tolist()))
-    ls = ["" if m else repr(x)
-          for m, x in zip(masked, tr.logsens[rows].tolist())]
-    # repr(abs(x)) == repr(x).lstrip("-") for every double, -0.0/nan too
-    ae, als = ([s.lstrip("-") for s in col] for col in (e, ls))
-    cols = (map(repr, tr.times[rows].tolist()), e, ae,
-            map(repr, tr.derror[rows].tolist()), ls, als,
-            ["1" if m else "0" for m in masked])
-    return ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
+    masked = tr.spike_mask[rows]
+    n = len(masked)
+    t, e, de, ls = np.split(_floatrepr.fields(np.concatenate(
+        [tr.times[rows], tr.error[rows], tr.derror[rows], tr.logsens[rows][~masked]])),
+        [n, 2 * n, 3 * n])
+    w = _floatrepr.WIDTH + 1  # a field and its comma
+    line = np.zeros((n, 6 * w + 2), dtype=np.uint8)
+    for k, field in enumerate((t, e, e, de)):
+        line[:, k * w:(k + 1) * w - 1] = field
+    for k in (4, 5):
+        line[~masked, k * w:(k + 1) * w - 1] = ls
+    line[:, [2 * w, 5 * w]] = 0  # abs_error's and abs_logsens's sign bytes
+    line[:, w - 1::w] = ord(",")
+    line[:, -2] = masked + ord("0")
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0")
 
 
 def _csv_workers(rows):
@@ -571,7 +587,8 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 # Smallest scale of a path comparison: below it a deviation is an absolute one.
 _SCALE_FLOOR = 1e-12
-
+# Largest unfloored spot-check deviation a run passes (shipped ones read 3.2e-12).
+SPOT_BOUND = 1e-9
 
 def _largest(vals: dict) -> float:
     """The largest |de/dxi| any path (``{method: values at the sample
@@ -602,11 +619,12 @@ def _finite(tr, what):
     return tr
 
 
-def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
+def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None):
     """Compare the first ``keep`` (default all) applicable paths of
     ``methods`` by one ``trace`` each over the sorted times ``ts``, each
-    refused unless finite (``_finite``).  Returns the paths compared
-    (``methods``), each pair's ``_path_deviations`` (``pairs``), their
+    refused unless finite (``_finite``).  Returns, with each path's de/dxi
+    (``{method: values}``), the paths compared (``methods``), each pair's
+    ``_path_deviations`` (``pairs``), their
     largest (``max_rel_deviation``), any path left out and why (``skipped``:
     the spectrum's ``analytic_refusal``), and ``scale_floored: true`` where
     every value is below ``_SCALE_FLOOR``, so the deviations are absolute."""
@@ -621,18 +639,26 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None) -> dict:
     for pair, dev in pairs.items():
         if not math.isfinite(dev):
             raise ArithmeticError(f"oracle check: {pair} deviation is {dev!r}")
-    return dict(out, methods=used, pairs=pairs, max_rel_deviation=max(pairs.values()))
+    return dict(out, methods=used, pairs=pairs, max_rel_deviation=max(pairs.values())), vals
 
 
-def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig) -> dict:
+def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig):
     """de/dxi of two paths at five seeded uniform draws from [t_start, t_end]
     (not grid points; repeats dropped): analytic vs blockaug, or blockaug vs fd
     on a near-defective spectrum, the only place fd comes in, since stepped
-    over five distinct steps it costs far more than blockaug."""
+    over five distinct steps it costs far more than blockaug.  Past
+    ``SPOT_BOUND`` unfloored, it names the pair, deviation and time: in an
+    ``ArithmeticError`` for an analytic trace, else beside the comparison."""
     t0, t1, _ = cfg.grid
     ts = np.unique(np.random.default_rng(cfg.seed).uniform(t0, t1, 5))
-    out = _compare_paths(sys_, ts, ("analytic", "blockaug", "fd"), keep=2)
-    return dict(out, sample_times=ts)
+    out, vals = _compare_paths(sys_, ts, ("analytic", "blockaug", "fd"), keep=2)
+    (pair, dev), = out["pairs"].items()  # two paths, one pair
+    at = float(ts[np.argmax(np.abs(np.subtract(*vals.values())))])
+    why = dev > SPOT_BOUND and not out.get("scale_floored") and (
+        f"oracle spot check: {pair} deviation {dev:.3g} at t = {at!r} exceeds {SPOT_BOUND:g}")
+    if why and cfg.method == "analytic":
+        raise ArithmeticError(f"{why}; compare the paths with `logsens check`")
+    return dict(out, sample_times=ts), why
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
@@ -645,7 +671,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
     tr = _finite(trace(sys_, times, method=cfg.method), f"{cfg.method} trace")
     spec = sys_.spectrum()
     coup = couplings(spec, sys_.S, sys_.c, coupling_vec)
-    cls = classify(spec, coup, sys_.xi0)
+    spot, why = _oracle_spot_check(sys_, cfg)  # why: an oracle trace it disowns
+    cls = DivergenceClassification("Inconclusive", diagnostic=why) if why else classify(
+        spec, coup, sys_.xi0)
 
     window = tuple(cfg.parameters["fit_window"])
     # s = xi0 (de/dxi) / e is identically zero: no spikes, masked rows or not
@@ -680,7 +708,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
         "classification": asdict(cls),
         "empirical": empirical,
         "deviations": deviations,
-        "oracle_check": _oracle_spot_check(sys_, cfg),
+        "oracle_check": spot,
         "provenance": {
             "config_hash": _config_hash(cfg),
             "tool_version": __version__,
@@ -700,7 +728,7 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
     path is one ``trace`` over those times."""
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
-    out = _compare_paths(sys_, np.linspace(t0, t1, t_samples), DERIVATIVE_METHODS)
+    out = _compare_paths(sys_, np.linspace(t0, t1, t_samples), DERIVATIVE_METHODS)[0]
     del out["methods"]
     pairs = out["pairs"]
     out["worst_pair"] = max(pairs, key=pairs.get) if out["max_rel_deviation"] > 0 else None

@@ -333,12 +333,15 @@ def reference_csv(tr) -> bytes:
 
 
 # Doubles whose shortest repr is awkward: signed zeros, subnormals, both
-# sides of repr's switches to exponent form (1e-4/1e-5 and 1e16), inf, nan.
+# sides of repr's switches to exponent form (1e-4/1e-5 and 1e16), inf, nan,
+# both sides of 2^50 (where the block formatter hands over to repr), and an
+# exact decimal tie (...818.25) that rounds half to even, down.
 AWKWARD = np.array([
     -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
     1e-4, np.nextafter(1e-4, 0), -1e-5, np.nextafter(-1e-5, -1),
     1e16, np.nextafter(1e16, 0), -1e16, 1.2345678901234567e300,
     -0.1, 1 / 3, np.inf, -np.inf, np.nan,
+    2.0 ** 50, -np.nextafter(2.0 ** 50, 0), 1083135758040818.25,
 ])
 
 
@@ -888,12 +891,58 @@ class TestSpotCheckThroughTrace:
 
     def test_coinciding_draws_traced_once(self, tmp_path):
         # a window 4 ulp wide: the five draws repeat times, and a trace needs
-        # strictly increasing ones
+        # strictly increasing ones (a blockaug run: the analytic one is
+        # refused, TestSpotCheckGate)
         ulp = float(np.spacing(1e6))
-        cfg = validate_config({"kind": "spin_chain", "grid": {
+        cfg = validate_config({"kind": "spin_chain", "method": "blockaug", "grid": {
             "t_start": 1e6, "t_end": 1e6 + 4 * ulp, "dt": ulp}})
         ts = run_scenario(cfg, str(tmp_path))["oracle_check"]["sample_times"]
         assert 1 <= len(ts) < 5 and np.all(np.diff(ts) > 0)
+
+
+class TestSpotCheckGate:
+    """A run whose spot check exceeds ``SPOT_BOUND`` unfloored is refused when
+    its trace is analytic and Inconclusive when an oracle's."""
+
+    CLOSE_POLES = {"kind": "rlc", "parameters": {"poles": [-1, -1.0001, -4]}}
+    ULP = float(np.spacing(1e6))
+    FAR_OUT = {"kind": "spin_chain", "grid": {
+        "t_start": 1e6, "t_end": 1e6 + 4 * ULP, "dt": ULP}}
+
+    def run(self, tmp_path, doc, *argv):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        return main(["run", str(tmp_path / "cfg.json"), "--out-dir",
+                     str(tmp_path / "out"), *argv])
+
+    @pytest.mark.parametrize("doc, line", [
+        (CLOSE_POLES, "analytic_vs_blockaug deviation 0.000298 at t = 2.0486761968097342"),
+        (FAR_OUT, "analytic_vs_blockaug deviation 0.866 at t = 1000000.0000000001"),
+    ])
+    def test_analytic_trace_refused(self, tmp_path, capsys, doc, line):
+        assert self.run(tmp_path, doc) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical failure: oracle spot check: {line} "
+                                "exceeds 1e-09; compare the paths with `logsens check`\n")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_oracle_trace_inconclusive(self, tmp_path, capsys):
+        assert self.run(tmp_path, self.FAR_OUT, "--method", "blockaug") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["classification"]["kind"] == "Inconclusive"
+        assert report["classification"]["diagnostic"] == (
+            "oracle spot check: analytic_vs_blockaug deviation 0.866 at t = "
+            "1000000.0000000001 exceeds 1e-09")
+        assert report["oracle_check"]["max_rel_deviation"] > cli.SPOT_BOUND
+        assert report["empirical"]["fitted_slope"] is None
+        assert "diagnostic: oracle spot check: " in capsys.readouterr().out
+
+    def test_shipped_close_pole_gap_passes(self, tmp_path):
+        # a gap of 1e-2 reads 7.0e-10: the trace is right and the run passes
+        doc = {"kind": "rlc", "parameters": {"poles": [-1, -1.01, -4]}}
+        assert self.run(tmp_path, doc) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert 1e-10 < report["oracle_check"]["max_rel_deviation"] <= cli.SPOT_BOUND
+        assert report["classification"]["kind"] == "LinearReal"
 
 
 class TestCheckOracles:

@@ -2,8 +2,9 @@
 laced with adversarial numbers, run through ``main``.
 
 Every config ``main`` is given ends one of two ways: a result whose trace
-and oracle comparison are finite, or one stderr line with the exit code of
-its cause.  Grids have at most 50 rows and chains at most 4 sites, so each
+and oracle comparison are finite and whose spot check is within its bound
+(or an oracle trace called Inconclusive for it), or one stderr line with
+the exit code of its cause.  Grids have at most 50 rows and chains at most 4 sites, so each
 example takes milliseconds.  Config files that are no JSON config at all
 (arbitrary bytes, a config cut short, a number nested in up to 1e5 lists)
 end in a result or one ``config error:`` line.
@@ -29,6 +30,7 @@ from logsens.cli import (
     _KIND_DEFAULTS,
     _OUTPUT_DEFAULTS,
     MAX_GRID_ROWS,
+    SPOT_BOUND,
     ScenarioConfig,
     main,
 )
@@ -243,6 +245,17 @@ def _check_pairs(result):
     assert result["pairs"] and None not in result["pairs"].values()
 
 
+def _check_spot(report):
+    """A run that ended in a result is within its spot check's bound, or
+    its deviations are absolute ones, or its oracle trace is Inconclusive
+    naming the deviation."""
+    spot = report["oracle_check"]
+    if spot["max_rel_deviation"] > SPOT_BOUND and not spot.get("scale_floored"):
+        assert report["provenance"]["config"]["method"] != "analytic"
+        assert report["classification"]["kind"] == "Inconclusive"
+        assert report["classification"]["diagnostic"].startswith("oracle spot check: ")
+
+
 def _fuzz(doc):
     with tempfile.TemporaryDirectory() as work:
         cfg = os.path.join(work, "cfg.json")
@@ -255,6 +268,7 @@ def _fuzz(doc):
             with open(os.path.join(out_dir, outputs["report_json"])) as f:
                 report = json.load(f)
             _check_pairs(report["oracle_check"])
+            _check_spot(report)
             _check_trace(os.path.join(out_dir, outputs["trace_csv"]), report)
         else:
             _check_refusal(rc, err)

@@ -11,18 +11,18 @@ from logsens import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def never_run(target, *args):
-    """The line numbers of ``src/logsens/cli.py`` that ``tools/src_lines.py``
-    lists as never run by ``python target args``, and every listed line."""
+def never_run(target, *args, path="src/logsens/cli.py"):
+    """The line numbers of ``path`` that ``tools/src_lines.py`` lists as
+    never run by ``python target args``, and every listed line."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "src_lines.py"), target, *args],
         capture_output=True, text=True, timeout=60, check=True)
     listed = [line for line in proc.stdout.splitlines() if line.startswith("src/")]
     assert re.fullmatch(rf"{len(listed)} executable src/logsens lines never ran\n",
                         proc.stderr)
-    cli_lines = {int(line.split(":")[1]) for line in listed
-                 if line.startswith("src/logsens/cli.py:")}
-    return cli_lines, listed
+    lines = {int(line.split(":")[1]) for line in listed
+             if line.startswith(path + ":")}
+    return lines, listed
 
 
 def line_of(func, text):
@@ -43,8 +43,18 @@ def test_tiny_digests_run_main():
     assert line_of(cli.main, 'ConfigError("--samples"') in never
 
 
+def test_float_formatter_tests_run_all_of_it():
+    # tier-1 runs every line of the block formatter's float spelling, the
+    # repr fallback for inf, nan and |x| >= 2^50 included
+    never, _ = never_run("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         os.path.join(ROOT, "tests", "test_floatrepr.py"),
+                         path="src/logsens/_floatrepr.py")
+    assert never == set()
+
+
 def test_forked_children_lines_count_as_run(tmp_path):
-    # 32 blocks on two usable CPUs: the second run is formatted by a forked child
+    # 32 blocks on two usable CPUs: the second run is formatted by a forked
+    # child; both runs hold masked rows and values repr spells (2^50 and up)
     script = tmp_path / "write.py"
     script.write_text(
         "import os\n"
@@ -54,11 +64,13 @@ def test_forked_children_lines_count_as_run(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "t = np.arange(32 * cli._CSV_BLOCK, dtype=float)\n"
         "cli.write_trace_csv(os.path.join(os.path.dirname(__file__), 'trace.csv'),\n"
-        "                    SensitivityTrace(t, t, t, t, t < 0))\n")
+        "                    SensitivityTrace(t, t * 2.0 ** 40, t, t, t % 3 == 0))\n")
     never, _ = never_run(str(script))
     child = {line_of(cli._format_part, text)
              for text in ("part.write(", "part.flush(", "status = 0", "os._exit(")}
     assert not never & child
+    source, start = inspect.getsourcelines(cli._csv_block)
+    assert not never & set(range(start, start + len(source)))
     # the child exited 0: this process copied its part, and none was left to kill
     assert line_of(cli._csv_blocks, "yield from iter(") not in never
     assert line_of(cli._csv_blocks, "os.kill(") in never

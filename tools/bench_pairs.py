@@ -42,7 +42,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def ref_tree(ref, dest):
     """Fill ``dest`` with ``git archive REF src``, this checkout's
-    ``benchmarks/`` and ``BENCHMARK.json``; return ``dest``."""
+    ``benchmarks/`` and ``BENCHMARK.json``; return ``dest``.  The REF side
+    of ``tools/op_digests.py --against`` is this tree too."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", ref, "src"],
                              check=True, stdout=subprocess.PIPE).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:

@@ -17,11 +17,11 @@ checkouts and ``diff`` the outputs: no difference means every exit code,
 stdout and output file is byte-identical.  ``--tiny`` runs the workloads'
 tiny ops instead, in seconds.
 
-``--against REF`` does both runs itself: it extracts ``git archive REF src``
-into a temporary directory, puts this checkout's ``tools/op_digests.py`` and
-``benchmarks/`` beside it, so both sides run the same ops, and runs that
-copy in a subprocess (two ``logsens`` packages cannot share one
-interpreter).  It prints the number of identical ops, or each differing op
+``--against REF`` does both runs itself: it builds ``tools/bench_pairs.py``'s
+REF tree (``git archive REF src`` beside this checkout's ``benchmarks/``) in
+a temporary directory, puts this checkout's ``tools/`` beside it, so both
+sides run the same ops, and runs that copy of this script in a subprocess
+(two ``logsens`` packages cannot share one interpreter).  It prints the number of identical ops, or each differing op
 as a ``-`` (REF) / ``+`` (this checkout) pair, and exits 0 only when the two
 sides are identical.
 """
@@ -37,15 +37,15 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
+sys.path[:0] = [os.path.join(ROOT, name) for name in ("src", "benchmarks", "tools")]
 
 from logsens import cli  # noqa: E402
 import workloads  # noqa: E402
+from bench_pairs import ref_tree  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -78,18 +78,13 @@ def op_lines(workload, seed, tiny=False):
 
 def ref_lines(ref, argv):
     """The digest lines of ``git archive REF src``, run with this checkout's
-    script and benchmarks on the arguments ``argv``."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", ref, "src"],
-                             check=True, stdout=subprocess.PIPE).stdout
+    scripts and benchmarks on the arguments ``argv``."""
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        shutil.copytree(os.path.join(ROOT, "benchmarks"), os.path.join(tmp, "benchmarks"),
+        tools = os.path.join(ref_tree(ref, tmp), "tools")
+        shutil.copytree(os.path.join(ROOT, "tools"), tools,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        os.mkdir(os.path.join(tmp, "tools"))
-        script = shutil.copy(os.path.abspath(__file__), os.path.join(tmp, "tools"))
-        return subprocess.run([sys.executable, script, *argv], check=True,
-                              stdout=subprocess.PIPE, text=True).stdout.splitlines()
+        return subprocess.run([sys.executable, os.path.join(tools, "op_digests.py"), *argv],
+                              check=True, stdout=subprocess.PIPE, text=True).stdout.splitlines()
 
 
 def main(argv=None) -> int:
