@@ -182,14 +182,11 @@ def fields(x):
     words[:, :5] = _DIG4.take(groups).T
     words[:, 5] = _MARKS.take(bits >> 63)
     src.view(np.uint64)[:, 3] = _EXP.take(decpt - _DECPT[0])
-    for k in np.flatnonzero(~ryu & (ab != 0)):  # inf, nan, |x| >= 2^50
-        text = repr(float(x[k])).encode()
-        body = text.lstrip(b"-")
-        src[k] = 0
-        src[k, :len(body)] = np.frombuffer(body, dtype=np.uint8)
-        if body != text:
-            src[k, _SGN] = ord("-")
-        key[k] = _REPR
+    odd = np.flatnonzero(~ryu & (ab != 0))  # inf, nan, |x| >= 2^50
+    src[odd] = np.frombuffer(b"".join(  # repr's text less its sign, then the sign
+        (text.lstrip("-").ljust(_SGN, "\0") + "-" * (text[0] == "-")).encode().ljust(32, b"\0")
+        for text in map(repr, x[odd].tolist())), dtype=np.uint8).reshape(-1, 32)
+    key[odd] = _REPR
     out = np.empty((n, WIDTH), dtype=np.uint8)
     flat = src.reshape(-1)
     for lo in range(0, n, 256):  # 48 KiB index arrays; whole-block ones page-faulted
