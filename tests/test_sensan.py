@@ -1115,7 +1115,120 @@ def classify_system(A0, S, c, v, xi0, vec=None):
     return classify(spec, coup, xi0)
 
 
+def modal_spectrum(lam, clusters=None, **kw):
+    """A spectrum in its own modal basis (M = I): ``classify`` reads only its
+    eigenvalues, clusters, Jordan blocks and refusal."""
+    lam = np.array(lam, dtype=complex)
+    eye = np.eye(len(lam), dtype=complex)
+    return Spectrum(eigenvalues=lam, M=eye, Minv=eye,
+                    clusters=clusters or tuple((i,) for i in range(len(lam))), **kw)
+
+
+def modal_couplings(z, w, Sbar):
+    return Couplings(z=np.array(z, dtype=complex), w=np.array(w, dtype=complex),
+                     Sbar=np.array(Sbar, dtype=complex))
+
+
+def with_pruned_mode(Sbar):
+    """``Sbar`` bordered by a mode at -8 that no structure coupling touches."""
+    return np.pad(np.asarray(Sbar, dtype=complex), (0, 1))
+
+
+ROOT2 = math.sqrt(2.0)
+# One (spectrum, couplings, xi0) per return of ``classify``, and every field
+# of ``asdict`` of its verdict that differs from the dataclass defaults.  The
+# returns past pruning carry a pruned mode, so ``pruned_modes`` shows there.
+CLASSIFY_RETURNS = {
+    "analytic_refusal": (
+        modal_spectrum([-1, -2], cond_M=1e12), modal_couplings([1, 1], [1, 1], np.ones((2, 2))),
+        1.0, {"kind": "Inconclusive",
+              "diagnostic": "spectrum is near-defective (cond_M = 1.00e+12) and carries "
+                            "no Jordan data: --method quadrature|blockaug|fd still samples "
+                            "it, Spectrum.from_jordan supplies the data"}),
+    "xi0_zero": (
+        modal_spectrum([-1, -2]), modal_couplings([1, 1], [1, 1], np.ones((2, 2))),
+        0.0, {"kind": "Inconclusive",
+              "diagnostic": "xi0 = 0: the log-sensitivity xi0 * (de/dxi) / e is "
+                            "identically zero and does not diverge"}),
+    "complex_jordan_pair": (
+        Spectrum.from_jordan([-0.25 + 1j, -0.25 + 1j, -0.25 - 1j, -0.25 - 1j], np.eye(4),
+                             [(0, 2), (2, 2)]),
+        modal_couplings([1] * 4, [1] * 4, np.ones((4, 4))),
+        1.0, {"kind": "Inconclusive", "sigma": 0.25,
+              "diagnostic": "the dominant Jordan blocks (size 2) form a complex pair at "
+                            "-0.25 +- 1i: the error oscillates, and no spike schedule is "
+                            "predicted for a complex Jordan pair (detection still applies)"}),
+    "polynomial_jordan": (
+        Spectrum.from_jordan([-0.5, -0.5, -2.0], np.eye(3), [(0, 2)]),
+        modal_couplings([1] * 3, [1] * 3, np.ones((3, 3))),
+        1.0, {"kind": "PolynomialJordan", "sigma": 0.5, "degree": 2}),
+    "all_pruned": (
+        modal_spectrum([-1, -2]), modal_couplings([1, 1], [1, 1], np.zeros((2, 2))),
+        1.0, {"kind": "Inconclusive", "pruned_modes": (0, 1),
+              "diagnostic": "all modes pruned"}),
+    "uncoupled_dominates": (
+        modal_spectrum([-0.125, -1]), modal_couplings([1, 1], [1, 1], [[0, 0], [0, 1]]),
+        1.0, {"kind": "Inconclusive", "sigma": 1.0, "pruned_modes": (0,),
+              "diagnostic": "a structurally uncoupled mode dominates the error decay; "
+                            "log-sensitivity need not diverge"}),
+    # g0 = 1 * 1 * 1 / (-1 + 2) - 1 * 2 * 2 / (-2 + 1) = 5, offset = 2 * 5 / 2
+    "linear_real": (
+        modal_spectrum([-1, -2, -8]),
+        modal_couplings([1] * 3, [2, 1, 1], with_pruned_mode([[0.25, 1], [2, 0.5]])),
+        2.0, {"kind": "LinearReal", "slope": 0.5, "sigma": 1.0, "pruned_modes": (2,),
+              "constants": {"sbar_dom": 0.25, "g0": np.complex128(5),
+                            "offset": np.complex128(5)}}),
+    # b0 = 1 - 1: no sigma either, though the pruning is reported
+    "b0_vanishes": (
+        modal_spectrum([-1, -1, -8], ((0, 1), (2,))),
+        modal_couplings([1] * 3, [1, -1, 1], with_pruned_mode([[1, 2], [3, 4]])),
+        1.0, {"kind": "Inconclusive", "pruned_modes": (2,),
+              "diagnostic": "dominant cluster has vanishing denominator weight b0"}),
+    # a0 = 1 + 2 + 3 + 4 over b0 = 2
+    "linear_repeated_real": (
+        modal_spectrum([-1, -1, -8], ((0, 1), (2,))),
+        modal_couplings([1] * 3, [1] * 3, with_pruned_mode([[1, 2], [3, 4]])),
+        1.0, {"kind": "LinearRepeatedReal", "slope": 5.0, "sigma": 1.0, "pruned_modes": (2,),
+              "constants": {"a0": np.complex128(10), "b0": np.complex128(2)}}),
+    "incommensurate": (
+        modal_spectrum([-0.5 + 1j, -0.5 - 1j, -0.5 + ROOT2 * 1j, -0.5 - ROOT2 * 1j, -8]),
+        modal_couplings([1] * 5, [1] * 5, with_pruned_mode(np.ones((4, 4)))),
+        1.0, {"kind": "Inconclusive", "sigma": 0.5, "pruned_modes": (4,),
+              "diagnostic": "incommensurate dominant frequencies: spike schedule "
+                            "prediction unsupported (detection still applies)"}),
+    # e^(-t / 8) (0.5 + cos t): zeros at 2 pi / 3 and 4 pi / 3
+    "minima_untimed": (
+        modal_spectrum([-0.125, -0.125 + 1j, -0.125 - 1j, -8]),
+        modal_couplings([0.5] * 4, [1] * 4, with_pruned_mode(np.ones((3, 3)))),
+        1.0, {"kind": "Inconclusive", "sigma": 0.125, "pruned_modes": (3,),
+              "diagnostic": "dominant oscillation has unevenly spaced minima"}),
+    # P = (1 + i)^2 = 2i: phi01 = -pi / 2, t0 = (pi + phi01) / 2
+    "periodic_complex": (
+        modal_spectrum([-0.125 + 1j, -0.125 - 1j, -8]),
+        modal_couplings([1 + 1j, 1 - 1j, 1], [1] * 3, with_pruned_mode(np.ones((2, 2)))),
+        1.0, {"kind": "PeriodicComplex", "sigma": 0.125, "omega": 1.0,
+              "phi01": -math.pi / 2, "t0": math.pi / 4, "period": math.pi,
+              "pruned_modes": (2,),
+              "constants": {"omega_modal": 1.0, "re_z1w1z2w2": 0.0, "im_z1w1z2w2": 2.0}}),
+}
+CLASSIFY_DEFAULTS = {"kind": None, "slope": None, "sigma": None, "omega": None,
+                     "phi01": None, "t0": None, "period": None, "degree": None,
+                     "pruned_modes": (), "constants": {}, "diagnostic": ""}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("case", list(CLASSIFY_RETURNS))
+    def test_each_return_pinned(self, case):
+        # every field, value and type, of the verdict each return builds
+        spec, coup, xi0, fields = CLASSIFY_RETURNS[case]
+        got, want = asdict(classify(spec, coup, xi0)), {**CLASSIFY_DEFAULTS, **fields}
+        assert list(got) == list(want)
+        for name, value in got.items():
+            assert (type(value), value) == (type(want[name]), want[name]), name
+            if name == "constants":
+                assert [type(v) for v in value.values()] == [
+                    type(v) for v in want[name].values()]
+
     def test_spring_real_linear(self):
         cls = classify_system(SPRING_A0, SPRING_S, [1.0, 0.0], [1.0, 0.0], 4.0)
         assert cls.kind == "LinearReal"
