@@ -347,8 +347,14 @@ def _read_config(raw) -> ScenarioConfig:
     outputs = {key: _want(outputs.get(key), f"outputs.{key}", str, default)
                for key, default in _OUTPUT_DEFAULTS.items()}
     for key, name in outputs.items():
+        try:  # the name as the OS takes it; undecodable argv bytes (\udc80-\udcff) encode back
+            why = "holds a NUL character" if b"\0" in os.fsencode(name) else ""
+        except UnicodeEncodeError as e:
+            why = f"cannot be encoded as a file name ({e.reason})"
         if os.path.basename(name) in ("", ".", ".."):
-            raise ConfigError(f"outputs.{key}", f"{name!r} does not name a file")
+            why = "does not name a file"
+        if why:
+            raise ConfigError(f"outputs.{key}", f"{name!r} {why}")
     _refuse_overlap(outputs.values())
     seed = _number(raw.get("seed"), "seed", 0, int)
     if seed < 0:
@@ -590,23 +596,6 @@ _SCALE_FLOOR = 1e-12
 # Largest unfloored spot-check deviation a run passes (shipped ones read 3.2e-12).
 SPOT_BOUND = 1e-9
 
-def _largest(vals: dict) -> float:
-    """The largest |de/dxi| any path (``{method: values at the sample
-    times}``) returns at any of the times."""
-    return max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values())
-
-
-def _path_deviations(vals: dict) -> dict:
-    """Each pair's largest |de/dxi| difference of the paths (``{method:
-    values at the sample times}``), over their ``_largest`` value, floored
-    at ``_SCALE_FLOOR`` (a per-time scale blows up where de/dxi nears zero,
-    1e-13 on undamped chains)."""
-    methods = list(vals)
-    scale = max(_largest(vals), _SCALE_FLOOR)
-    return {f"{a}_vs_{b}": float(np.max(np.abs(vals[a] - vals[b]) / scale, initial=0.0))
-            for i, a in enumerate(methods) for b in methods[i + 1:]}
-
-
 def _finite(tr, what):
     """``tr``, or an ``ArithmeticError`` naming ``what`` when its e or de/dxi
     holds a non-finite value: an overflow in the trace, which the spike
@@ -623,23 +612,27 @@ def _compare_paths(sys_: ErrorSystem, ts, methods, keep=None):
     """Compare the first ``keep`` (default all) applicable paths of
     ``methods`` by one ``trace`` each over the sorted times ``ts``, each
     refused unless finite (``_finite``).  Returns, with each path's de/dxi
-    (``{method: values}``), the paths compared (``methods``), each pair's
-    ``_path_deviations`` (``pairs``), their
-    largest (``max_rel_deviation``), any path left out and why (``skipped``:
-    the spectrum's ``analytic_refusal``), and ``scale_floored: true`` where
-    every value is below ``_SCALE_FLOOR``, so the deviations are absolute."""
+    (``{method: values}``): each pair's largest de/dxi difference (``pairs``)
+    over one scale, the largest |de/dxi| of any path at any time, floored at
+    ``_SCALE_FLOOR`` (a per-time scale blows up where de/dxi nears zero,
+    1e-13 on undamped chains); their largest (``max_rel_deviation``); any
+    path left out and why (``skipped``: the spectrum's ``analytic_refusal``);
+    and ``scale_floored: true`` where the floor applied, so the deviations
+    are absolute."""
     why = sys_.spectrum().analytic_refusal
     out = {"skipped": {"analytic": why}} if why else {}
     used = tuple(m for m in methods if m not in out.get("skipped", ()))[:keep]
     vals = {m: _finite(trace(sys_, ts, method=m), f"oracle check: {m} trace").derror
             for m in used}
-    pairs = _path_deviations(vals)
-    if _largest(vals) < _SCALE_FLOOR:
-        out["scale_floored"] = True
+    scale = max(float(np.max(np.abs(v), initial=0.0)) for v in vals.values())
+    if scale < _SCALE_FLOOR:
+        out["scale_floored"], scale = True, _SCALE_FLOOR
+    pairs = {f"{a}_vs_{b}": float(np.max(np.abs(vals[a] - vals[b]) / scale, initial=0.0))
+             for i, a in enumerate(used) for b in used[i + 1:]}
     for pair, dev in pairs.items():
         if not math.isfinite(dev):
             raise ArithmeticError(f"oracle check: {pair} deviation is {dev!r}")
-    return dict(out, methods=used, pairs=pairs, max_rel_deviation=max(pairs.values())), vals
+    return dict(out, pairs=pairs, max_rel_deviation=max(pairs.values())), vals
 
 
 def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig):
@@ -658,7 +651,7 @@ def _oracle_spot_check(sys_: ErrorSystem, cfg: ScenarioConfig):
         f"oracle spot check: {pair} deviation {dev:.3g} at t = {at!r} exceeds {SPOT_BOUND:g}")
     if why and cfg.method == "analytic":
         raise ArithmeticError(f"{why}; compare the paths with `logsens check`")
-    return dict(out, sample_times=ts), why
+    return dict(out, methods=tuple(vals), sample_times=ts), why
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str = ".") -> dict:
@@ -729,7 +722,6 @@ def check_oracles(cfg: ScenarioConfig, t_samples: int = 20) -> dict:
     sys_, _, _ = build_system(cfg)
     t0, t1, _ = cfg.grid
     out = _compare_paths(sys_, np.linspace(t0, t1, t_samples), DERIVATIVE_METHODS)[0]
-    del out["methods"]
     pairs = out["pairs"]
     out["worst_pair"] = max(pairs, key=pairs.get) if out["max_rel_deviation"] > 0 else None
     return out

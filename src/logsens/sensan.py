@@ -16,6 +16,7 @@ predictions lives in ``fit_slope`` / ``detect_spikes`` /
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -523,15 +524,14 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     weak = np.abs(zw) <= PRUNE_TOL * zw_scale
     prune = weak | (np.maximum(absS.max(1), absS.max(0)) <= PRUNE_TOL * np.max(absS))
     pruned, kept = np.flatnonzero(prune).tolist(), np.flatnonzero(~prune).tolist()
+    # every verdict from here on reports the pruning, and past the next one sigma
+    verdict = functools.partial(DivergenceClassification, pruned_modes=tuple(pruned))
     if not kept:
-        return DivergenceClassification(
-            kind="Inconclusive", pruned_modes=tuple(pruned),
-            diagnostic="all modes pruned",
-        )
+        return verdict(kind="Inconclusive", diagnostic="all modes pruned")
 
     re_max = max(lam[m].real for m in kept)
     dom = [m for m in kept if lam[m].real >= re_max - tol_dom]
-    sigma = float(max(0.0, -re_max))
+    verdict = functools.partial(verdict, sigma=float(max(0.0, -re_max)))
 
     # Modes the readout/state still weight (zw above tolerance) shape the
     # denominator even when their structure couplings vanish.  One strictly
@@ -539,11 +539,9 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     # growth and the log-sensitivity can stay bounded.
     zw_active = np.flatnonzero(~weak).tolist()
     if any(lam[m].real > re_max + tol_dom for m in zw_active):
-        return DivergenceClassification(
-            kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
-            diagnostic="a structurally uncoupled mode dominates the error "
-                       "decay; log-sensitivity need not diverge",
-        )
+        return verdict(kind="Inconclusive",
+                       diagnostic="a structurally uncoupled mode dominates the error "
+                                  "decay; log-sensitivity need not diverge")
     axis = [m for m in zw_active if lam[m].real >= re_max - tol_dom]
     axis_freqs = sorted({abs(lam[m].imag) for m in axis if abs(lam[m].imag) > tol_dom})
 
@@ -558,14 +556,9 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
                     continue
                 g0 += coup.z[m] * coup.w[k] * coup.Sbar[m, k] / (lam[m] - lam[k])
                 g0 -= coup.z[k] * coup.w[m] * coup.Sbar[k, m] / (lam[k] - lam[m])
-            return DivergenceClassification(
-                kind="LinearReal",
-                slope=float(xi0 * s11.real),
-                sigma=sigma,
-                pruned_modes=tuple(pruned),
-                constants={"sbar_dom": s11.real, "g0": g0,
-                           "offset": xi0 * g0 / zw[m]},
-            )
+            return verdict(kind="LinearReal", slope=float(xi0 * s11.real),
+                           constants={"sbar_dom": s11.real, "g0": g0,
+                                      "offset": xi0 * g0 / zw[m]})
         a0 = complex(0.0)
         b0 = complex(0.0)
         for m_i in dom:
@@ -573,25 +566,16 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
             for n_i in dom:
                 a0 += coup.z[m_i] * coup.w[n_i] * coup.Sbar[m_i, n_i]
         if abs(b0) <= PRUNE_TOL * max(zw_scale, 1e-300):
-            return DivergenceClassification(
-                kind="Inconclusive", pruned_modes=tuple(pruned),
-                diagnostic="dominant cluster has vanishing denominator weight b0",
-            )
-        return DivergenceClassification(
-            kind="LinearRepeatedReal",
-            slope=float(xi0 * (a0 / b0).real),
-            sigma=sigma,
-            pruned_modes=tuple(pruned),
-            constants={"a0": a0, "b0": b0},
-        )
+            return verdict(kind="Inconclusive", sigma=None,
+                           diagnostic="dominant cluster has vanishing denominator weight b0")
+        return verdict(kind="LinearRepeatedReal", slope=float(xi0 * (a0 / b0).real),
+                       constants={"a0": a0, "b0": b0})
 
     omega0 = axis_freqs[0] if len(axis_freqs) == 1 else _rational_fundamental(axis_freqs)
     if omega0 is None:
-        return DivergenceClassification(
-            kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
-            diagnostic="incommensurate dominant frequencies: spike schedule "
-                       "prediction unsupported (detection still applies)",
-        )
+        return verdict(kind="Inconclusive",
+                       diagnostic="incommensurate dominant frequencies: spike schedule "
+                                  "prediction unsupported (detection still applies)")
 
     axis_zero = [m for m in axis if abs(lam[m].imag) <= tol_dom]
     constants = {"omega_modal": float(omega0)}
@@ -605,27 +589,15 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
         omegas = np.array([lam[m].imag for m in axis])
         timing = _numeric_minima_timing(np.array([zw[m] for m in axis]), omegas, omega0)
         if isinstance(timing, str):
-            return DivergenceClassification(
-                kind="Inconclusive", sigma=sigma, pruned_modes=tuple(pruned),
-                diagnostic=timing,
-            )
+            return verdict(kind="Inconclusive", diagnostic=timing)
         t0, period = timing
         # anchor t0 in (period/4, 5*period/4] so phi01 lands in its
         # (-pi/2, 3*pi/2] range without breaking t0 = (pi+phi01)/(2*omega)
         while t0 <= period / 4:
             t0 += period
         phi01 = 2 * (np.pi / period) * t0 - np.pi
-    omega = np.pi / period
-    return DivergenceClassification(
-        kind="PeriodicComplex",
-        sigma=sigma,
-        omega=float(omega),
-        phi01=float(phi01),
-        t0=float(t0),
-        period=float(period),
-        pruned_modes=tuple(pruned),
-        constants=constants,
-    )
+    return verdict(kind="PeriodicComplex", omega=float(np.pi / period), phi01=float(phi01),
+                   t0=float(t0), period=float(period), constants=constants)
 
 
 def spike_schedule(cls: DivergenceClassification, n_max: int) -> np.ndarray:

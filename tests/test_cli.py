@@ -26,7 +26,6 @@ from logsens.cli import (
     _atomic_write,
     _dumps,
     _json_value,
-    _path_deviations,
     build_system,
     check_oracles,
     main,
@@ -661,6 +660,38 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("key", ["trace_csv", "report_json"])
+    @pytest.mark.parametrize("name, why", [
+        ("a\0b.csv", "holds a NUL character"),
+        ("r\ud800.json", "cannot be encoded as a file name (surrogates not allowed)"),
+    ], ids=["nul", "lone_surrogate"])
+    def test_names_the_os_cannot_take_are_2(self, command, key, name, why, tmp_path,
+                                            capsys):
+        # refused by both commands before any work, though ``check`` writes
+        # neither file: the same config must not pass one and fail the other
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0},
+                                   "outputs": {key: name}}))
+        out = tmp_path / "out"
+        argv = [command, str(cfg)] + (["--out-dir", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: outputs.{key}: {name!r} {why}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_names_of_undecodable_bytes_run(self, tmp_path):
+        # a name from non-UTF-8 bytes, as ``os.fsdecode`` spells them, is
+        # the file of those bytes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "spring_mass", "grid": {"t_end": 5.0},
+                                   "outputs": {"trace_csv": os.fsdecode(b"t\x80.csv")}}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert main(["check", str(cfg), "--samples", "3"]) == 0
+        assert sorted(os.listdir(bytes(tmp_path))) == [b"cfg.json", b"report.json",
+                                                        b"t\x80.csv"]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("outputs", [
         {"trace_csv": "x", "report_json": "x/r.json"},
         {"trace_csv": "x/t.csv", "report_json": "x"},
@@ -885,8 +916,11 @@ class TestSpotCheckThroughTrace:
         ts = np.array(spot["sample_times"])
         assert len(ts) == 5 and np.all(np.diff(ts) > 0)
         sys_ = build_system(cfg)[0]
-        assert spot["pairs"] == _path_deviations(
-            {m: trace(sys_, ts, method=m).derror for m in spot["methods"]})
+        a, b = (trace(sys_, ts, method=m).derror for m in spot["methods"])
+        # one scale: the largest |de/dxi| of either path, floored
+        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), cli._SCALE_FLOOR)
+        assert spot["pairs"] == {"{}_vs_{}".format(*spot["methods"]):
+                                 float(np.max(np.abs(a - b)) / scale)}
         assert spot["max_rel_deviation"] == max(spot["pairs"].values())
 
     def test_coinciding_draws_traced_once(self, tmp_path):

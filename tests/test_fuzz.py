@@ -50,6 +50,9 @@ DEFECTIVE = DEFECTIVE_BASES["exact_block"]["parameters"]
 # write may fail there.
 EXIT1_PREFIXES = ("numerical failure: ", "out of memory: ")
 MAX_ROWS = 50
+# Output names no file system takes, a NUL and a lone surrogate: a config
+# holding either is a config error, whatever else it holds.
+UNUSABLE_NAMES = ("a\x00b", "r\ud800.json")
 
 
 def _floats(lo, hi):
@@ -144,7 +147,7 @@ def _fields(kind):
         "method": st.sampled_from(DERIVATIVE_METHODS),
         "outputs": st.dictionaries(st.sampled_from(list(_OUTPUT_DEFAULTS)),
                                    st.sampled_from(["t.csv", "r.json", "sub/x.csv",
-                                                    "sub", "", "."])),
+                                                    "sub", "", ".", *UNUSABLE_NAMES])),
         "seed": st.integers(0, 2 ** 31),
     }
 
@@ -257,12 +260,14 @@ def _check_spot(report):
 
 
 def _fuzz(doc):
+    unusable = not set(UNUSABLE_NAMES).isdisjoint(doc.get("outputs", {}).values())
     with tempfile.TemporaryDirectory() as work:
         cfg = os.path.join(work, "cfg.json")
         with open(cfg, "w") as f:
             json.dump(doc, f)
         out_dir = os.path.join(work, "out")
         rc, _, err = _call(["run", cfg, "--out-dir", out_dir])
+        assert rc == 2 or not unusable, (rc, err)
         if rc == 0:
             outputs = dict(_OUTPUT_DEFAULTS, **doc.get("outputs", {}))
             with open(os.path.join(out_dir, outputs["report_json"])) as f:
@@ -274,6 +279,7 @@ def _fuzz(doc):
             _check_refusal(rc, err)
             assert not os.path.exists(out_dir)  # every refusal comes before a write
         rc, stdout, err = _call(["check", cfg, "--samples", "3"])
+        assert rc == 2 or not unusable, (rc, err)
         if rc == 0:
             _check_pairs(json.loads(stdout))
         else:
