@@ -524,7 +524,8 @@ def classify(spec: Spectrum, coup: Couplings, xi0: float) -> DivergenceClassific
     weak = np.abs(zw) <= PRUNE_TOL * zw_scale
     prune = weak | (np.maximum(absS.max(1), absS.max(0)) <= PRUNE_TOL * np.max(absS))
     pruned, kept = np.flatnonzero(prune).tolist(), np.flatnonzero(~prune).tolist()
-    # every verdict from here on reports the pruning, and past the next one sigma
+    # the verdicts from here on share the pruned modes, and those past
+    # ``not kept`` the decay rate sigma (a vanishing b0 reports none)
     verdict = functools.partial(DivergenceClassification, pruned_modes=tuple(pruned))
     if not kept:
         return verdict(kind="Inconclusive", diagnostic="all modes pruned")
